@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset import Warehouse, fetch_to_staging
+from .dataset import DatasetCache, Warehouse, fetch_to_staging
 from .errors import (
     A4LError,
     LockHeldError,
@@ -59,16 +59,26 @@ def _load_payload(args, path):
         return None, EXIT_PARSE
 
 
+def _validate(args, payload, warehouse, cache):
+    """Validate ``payload``; the report, or None once an I/O error is shown.
+
+    The catalog parses a dataset only when the payload references it, so
+    a broken file surfaces here as DatasetError or OSError.
+    """
+    try:
+        return validate_payload(payload, catalog=warehouse.column_catalog(cache))
+    except (A4LError, OSError) as exc:
+        _emit(args, f"error: {exc}", {"error": str(exc)})
+        return None
+
+
 def cmd_validate(args) -> int:
     payload, code = _load_payload(args, args.payload)
     if payload is None:
         return code
-    try:
-        catalog = Warehouse(args.root).column_catalog()
-    except (ManifestError, A4LError, OSError) as exc:
-        _emit(args, f"error: {exc}", {"error": str(exc)})
+    report = _validate(args, payload, Warehouse(args.root), DatasetCache())
+    if report is None:
         return EXIT_IO
-    report = validate_payload(payload, catalog=catalog)
     if report.ok:
         _emit(args, "ok", {"ok": True, "diagnostics": []})
         return EXIT_OK
@@ -82,12 +92,10 @@ def cmd_run(args) -> int:
     if payload is None:
         return code
     warehouse = Warehouse(args.root)
-    try:
-        catalog = warehouse.column_catalog()
-    except (ManifestError, A4LError, OSError) as exc:
-        _emit(args, f"error: {exc}", {"error": str(exc)})
+    cache = DatasetCache()
+    report = _validate(args, payload, warehouse, cache)
+    if report is None:
         return EXIT_IO
-    report = validate_payload(payload, catalog=catalog)
     if not report.ok:
         diags = [d.render() for d in report.diagnostics]
         _emit(args, "\n".join(diags), {"ok": False, "diagnostics": diags})
@@ -97,7 +105,7 @@ def cmd_run(args) -> int:
     any_errors = False
     try:
         with fetch_to_staging(sorted(payload.datasets()), warehouse) as staged:
-            for doc in execute_payload(payload, staged):
+            for doc in execute_payload(payload, staged, cache):
                 key = write_result(doc, payload.output, Path(args.root) / "results")
                 keys.append("results/" + key.as_path())
                 any_errors = any_errors or doc.has_errors()

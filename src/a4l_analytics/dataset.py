@@ -8,15 +8,17 @@ the file bytes, so change detection never relies on timestamps.
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import tempfile
 import uuid
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import DatasetError, ManifestError, UnknownDatasetError
 
@@ -110,16 +112,9 @@ def _convert(raw: str, kind: str):
     return raw
 
 
-def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDataset:
-    """Load a CSV file into a typed columnar dataset.
-
-    Deterministic: the same bytes always produce the same dataset,
-    including inferred column kinds.
-    """
-    path = Path(path)
-    dataset_name = name if name is not None else path.stem
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def _read_rows(path: Path, data: bytes) -> Tuple[List[str], List[List[str]]]:
+    """The header and the rows of CSV bytes, with every structural check."""
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -141,6 +136,24 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
                     f"expected {len(header)} fields, got {len(row)}"
                 )
             rows.append(row)
+    return header, rows
+
+
+def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDataset:
+    """Load a CSV file into a typed columnar dataset.
+
+    Deterministic: the same bytes always produce the same dataset,
+    including inferred column kinds. The file is read once; its version
+    is the SHA-256 of exactly the bytes that were parsed.
+    """
+    path = Path(path)
+    dataset_name = name if name is not None else path.stem
+    data = path.read_bytes()
+
+    try:
+        header, rows = _read_rows(path, data)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DatasetError(f"{path}: unreadable CSV: {exc}") from exc
 
     columns = []
     for i, col_name in enumerate(header):
@@ -151,10 +164,61 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
 
     return TabularDataset(
         name=dataset_name,
-        version=sha256_file(path),
+        version=hashlib.sha256(data).hexdigest(),
         columns=tuple(columns),
         row_count=len(rows),
     )
+
+
+class DatasetCache:
+    """Datasets parsed during one invocation, keyed by (name, sha256).
+
+    One cache serves one cycle or one command, so validation and
+    execution share a parse; it is never shared between invocations.
+    The key's sha256 is the manifest's, which decides reuse only: a
+    dataset's version is always the hash of the bytes it was parsed from.
+    """
+
+    def __init__(self) -> None:
+        self._datasets: Dict[Tuple[str, Optional[str]], TabularDataset] = {}
+
+    def get(
+        self, name: str, sha256: Optional[str], path: Union[str, Path]
+    ) -> TabularDataset:
+        key = (name, sha256)
+        ds = self._datasets.get(key)
+        if ds is None:
+            ds = self._datasets[key] = load_csv(path, name=name)
+        return ds
+
+    def retain(self, names: Iterable[str]) -> None:
+        """Drop every cached dataset whose name is not in ``names``."""
+        keep = set(names)
+        for key in [k for k in self._datasets if k[0] not in keep]:
+            del self._datasets[key]
+
+
+class _ColumnCatalog(Mapping):
+    """Manifest names mapped to column kinds, parsed on first lookup."""
+
+    def __init__(self, warehouse: "Warehouse", cache: DatasetCache):
+        self._warehouse = warehouse
+        self._manifest = warehouse.manifest()
+        self._cache = cache
+
+    def __getitem__(self, name: str) -> Dict[str, str]:
+        entry = self._manifest[name]
+        path = self._warehouse.dataset_path(name)
+        return self._cache.get(name, entry.get("sha256"), path).kinds()
+
+    def __contains__(self, name) -> bool:
+        return name in self._manifest
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._manifest)
+
+    def __len__(self) -> int:
+        return len(self._manifest)
 
 
 class Warehouse:
@@ -205,25 +269,31 @@ class Warehouse:
             raise UnknownDatasetError(f"dataset {name!r} not in warehouse manifest")
         return load_csv(self.dataset_path(name), name=name)
 
-    def column_catalog(self) -> Dict[str, Dict[str, str]]:
-        """Column-kind catalog for every dataset the manifest lists."""
-        catalog = {}
-        for name in self.manifest():
-            catalog[name] = load_csv(self.dataset_path(name), name=name).kinds()
-        return catalog
+    def column_catalog(
+        self, cache: Optional[DatasetCache] = None
+    ) -> Mapping[str, Dict[str, str]]:
+        """Column-kind catalog for every dataset the manifest lists.
+
+        The manifest is read now; a dataset is parsed (through ``cache``)
+        only when its kinds are looked up, so a lookup can raise
+        DatasetError or OSError for a broken or missing file.
+        """
+        return _ColumnCatalog(self, DatasetCache() if cache is None else cache)
 
 
 @dataclass
 class StagedRun:
     """Run-private staging directory mapping dataset names to copies.
 
-    The directory lives for the duration of the run; use as a context
+    ``versions`` holds the manifest sha256 of each staged name. The
+    directory lives for the duration of the run; use as a context
     manager (or call close) to remove it afterward.
     """
 
     run_id: str
     root: Path
     staged: Dict[str, Path] = field(default_factory=dict)
+    versions: Dict[str, Optional[str]] = field(default_factory=dict)
 
     def close(self) -> None:
         shutil.rmtree(self.root, ignore_errors=True)
@@ -255,6 +325,7 @@ def fetch_to_staging(names: Iterable[str], warehouse: Warehouse) -> StagedRun:
             dest = staging_root / f"{name}.csv"
             shutil.copy2(warehouse.dataset_path(name), dest)
             run.staged[name] = dest
+            run.versions[name] = manifest[name].get("sha256")
     except BaseException:
         run.close()
         raise

@@ -12,11 +12,12 @@ import json
 import os
 import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from .dataset import Warehouse, sha256_file
+from .dataset import DatasetCache, Warehouse, sha256_file
 from .errors import A4LError, LockHeldError, PayloadError
 from .payload import AnalysisPayload, parse_payload, validate_payload
 from .runner import execute_payload, utc_now_rfc3339, write_result
@@ -228,12 +229,15 @@ def payload_index(
 
 
 def select_affected_payloads(
-    updates: List[UpdateRecord], registry_dir: Union[str, Path]
+    updates: List[UpdateRecord],
+    registry_dir: Union[str, Path],
+    references: Optional[Dict[str, FrozenSet[str]]] = None,
 ) -> Tuple[List[Path], List[str]]:
     """Payload files referencing at least one updated dataset.
 
     Deterministic (lexicographic by file name); unparseable payloads are
-    reported back, never fatal.
+    reported back, never fatal. When ``references`` is given, it receives
+    the datasets each selected payload references, keyed by file name.
     """
     updated_names = {u.dataset for u in updates}
     selected: List[Path] = []
@@ -246,13 +250,20 @@ def select_affected_payloads(
             continue
         if payload.datasets() & updated_names:
             selected.append(path)
+            if references is not None:
+                references[path.name] = frozenset(payload.datasets())
     return selected, broken
 
 
 def run_payload_file(
-    payload_path: Union[str, Path], warehouse: Warehouse
+    payload_path: Union[str, Path], warehouse: Warehouse, cache: DatasetCache
 ) -> RunOutcome:
-    """Validate, stage, execute and store one payload file."""
+    """Validate, stage, execute and store one payload file.
+
+    ``cache`` shares parsed datasets with the other payloads of a cycle.
+    A referenced dataset that cannot be read or parsed fails this
+    payload only, with status ``error``.
+    """
     payload_path = Path(payload_path)
     try:
         payload = parse_payload(payload_path.read_bytes())
@@ -261,7 +272,10 @@ def run_payload_file(
             payload_file=payload_path.name, status="parse_failed", detail=str(exc)
         )
 
-    report = validate_payload(payload, catalog=warehouse.column_catalog())
+    try:
+        report = validate_payload(payload, catalog=warehouse.column_catalog(cache))
+    except (A4LError, OSError) as exc:
+        return RunOutcome(payload_file=payload_path.name, status="error", detail=str(exc))
     if not report.ok:
         return RunOutcome(
             payload_file=payload_path.name,
@@ -274,7 +288,7 @@ def run_payload_file(
     any_errors = False
     try:
         with fetch_to_staging(sorted(payload.datasets()), warehouse) as staged:
-            for doc in execute_payload(payload, staged):
+            for doc in execute_payload(payload, staged, cache):
                 key = write_result(doc, payload.output, results_root)
                 keys.append(key.as_path())
                 any_errors = any_errors or doc.has_errors()
@@ -310,15 +324,24 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
         updates = sync_warehouse(scan, warehouse, lock)
         report.updated = updates
 
-        selected, broken = select_affected_payloads(updates, root / "payloads")
+        references: Dict[str, FrozenSet[str]] = {}
+        selected, broken = select_affected_payloads(
+            updates, root / "payloads", references
+        )
         report.selected_payloads = [p.name for p in selected]
         for name in broken:
             report.run_outcomes.append(
                 RunOutcome(payload_file=name, status="parse_failed", detail="unparseable payload")
             )
 
+        # Each dataset is parsed once per cycle and dropped as soon as no
+        # remaining selected payload references it.
+        cache = DatasetCache()
+        pending = Counter(name for p in selected for name in references[p.name])
         for path in selected:
-            report.run_outcomes.append(run_payload_file(path, warehouse))
+            report.run_outcomes.append(run_payload_file(path, warehouse, cache))
+            pending.subtract(references[path.name])
+            cache.retain(name for name, count in pending.items() if count > 0)
 
         runs_dir = root / "runs"
         runs_dir.mkdir(parents=True, exist_ok=True)

@@ -16,10 +16,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from .dataset import (
+from .dataset import (  # noqa: F401  load_csv: looked up here by callers
     KIND_BOOLEAN,
     KIND_CATEGORICAL,
     KIND_NUMERIC,
+    DatasetCache,
     StagedRun,
     TabularDataset,
     load_csv,
@@ -106,55 +107,85 @@ class GroupSplit:
     labels: Tuple[str, str]
 
 
-def _group_levels(ds: TabularDataset, independent: str) -> Tuple[str, str]:
+@dataclass(frozen=True)
+class GroupIndex:
+    """The two levels of an independent column and the rows in each.
+
+    Built once per request; every dependent is split from it.
+    """
+
+    labels: Tuple[str, str]
+    rows: Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+    def ordering(self) -> Dict[str, str]:
+        return {self.labels[0]: "group1", self.labels[1]: "group2"}
+
+
+def group_index(ds: TabularDataset, independent: str) -> GroupIndex:
+    """Index the rows of ``ds`` by the two levels of ``independent``.
+
+    group1 is the lexicographically first level ("false" sorts before
+    "true"); rows missing the independent value belong to neither group.
+    """
     col = ds.column(independent)
     if col.kind not in (KIND_BOOLEAN, KIND_CATEGORICAL):
         raise GroupSplitError(
             f"independent column {independent!r} is {col.kind}, needs boolean or categorical"
         )
-    levels = sorted({v for v in col.rendered() if v is not None})
+    cells = col.rendered()
+    levels = sorted({v for v in cells if v is not None})
     if len(levels) != 2:
         raise GroupSplitError(
             f"independent column {independent!r} must have exactly 2 distinct "
             f"non-missing levels, found {len(levels)}: {levels}"
         )
-    return levels[0], levels[1]
+    level1, level2 = levels
+    return GroupIndex(
+        labels=(level1, level2),
+        rows=(
+            tuple(i for i, v in enumerate(cells) if v == level1),
+            tuple(i for i, v in enumerate(cells) if v == level2),
+        ),
+    )
 
 
-def split_groups(ds: TabularDataset, independent: str, dependent: str) -> GroupSplit:
+def split_groups(
+    ds: TabularDataset,
+    independent: str,
+    dependent: str,
+    index: Optional[GroupIndex] = None,
+) -> GroupSplit:
     """Split one numeric dependent column into two groups.
 
     Rows missing either the independent or this dependent value are
     dropped (pairwise deletion). group1 is the lexicographically first
     level of the independent column ("false" sorts before "true").
+    ``index`` is ``group_index(ds, independent)``, built here if absent.
     """
-    level1, level2 = _group_levels(ds, independent)
+    if index is None:
+        index = group_index(ds, independent)
     dep_col = ds.column(dependent)
     if dep_col.kind != KIND_NUMERIC:
         raise GroupSplitError(
             f"dependent column {dependent!r} is {dep_col.kind}, needs numeric"
         )
 
-    indep_cells = ds.column(independent).rendered()
-    sample1: List[float] = []
-    sample2: List[float] = []
-    for level, value in zip(indep_cells, dep_col.cells):
-        if level is None or value is None:
-            continue
-        if level == level1:
-            sample1.append(value)
-        else:
-            sample2.append(value)
+    cells = dep_col.cells
+    sample1, sample2 = (
+        [v for v in map(cells.__getitem__, rows) if v is not None] for rows in index.rows
+    )
     return GroupSplit(
         sample1=sample1,
         sample2=sample2,
-        ordering={level1: "group1", level2: "group2"},
-        labels=(level1, level2),
+        ordering=index.ordering(),
+        labels=index.labels,
     )
 
 
-def _run_grouped(req: AnalysisRequest, ds: TabularDataset, dep: str) -> dict:
-    split = split_groups(ds, req.independent, dep)
+def _run_grouped(
+    req: AnalysisRequest, ds: TabularDataset, dep: str, index: Optional[GroupIndex]
+) -> dict:
+    split = split_groups(ds, req.independent, dep, index)
     statistic = req.statistic
     if statistic == StatisticName.WELCH_TTEST:
         result = welch_ttest(
@@ -192,25 +223,29 @@ def _execute_request(
     generated_at: str,
 ) -> ResultDocument:
     ordering: Optional[Dict[str, str]] = None
-    if req.statistic != StatisticName.CONTINGENCY_TABLE:
+    index: Optional[GroupIndex] = None
+    if req.statistic == StatisticName.CONTINGENCY_TABLE:
+        row = ds.column(req.independent)
+        row_cells = row.rendered()
+    else:
         try:
-            level1, level2 = _group_levels(ds, req.independent)
-            ordering = {level1: "group1", level2: "group2"}
+            index = group_index(ds, req.independent)
+            ordering = index.ordering()
         except StatError:
-            ordering = None
+            # split_groups raises the same error again for every dependent
+            pass
 
     entries: List[dict] = []
     for dep in req.dependent:
         try:
             if req.statistic == StatisticName.CONTINGENCY_TABLE:
-                row = ds.column(req.independent)
                 col = ds.column(dep)
                 table = contingency(
-                    row.name, row.kind, row.rendered(), col.name, col.kind, col.rendered()
+                    row.name, row.kind, row_cells, col.name, col.kind, col.rendered()
                 )
                 entries.append(table.to_dict())
             else:
-                entries.append(_run_grouped(req, ds, dep))
+                entries.append(_run_grouped(req, ds, dep, index))
         except StatError as exc:
             entries.append(
                 {"dependent": dep, "error": {"kind": exc.kind, "message": str(exc)}}
@@ -232,18 +267,23 @@ def _execute_request(
     )
 
 
-def execute_payload(payload: AnalysisPayload, staged: StagedRun) -> List[ResultDocument]:
-    """Run every request of a validated payload, in payload order."""
+def execute_payload(
+    payload: AnalysisPayload, staged: StagedRun, cache: Optional[DatasetCache] = None
+) -> List[ResultDocument]:
+    """Run every request of a validated payload, in payload order.
+
+    Datasets come from ``cache`` when it already holds the staged
+    version; otherwise they are parsed from the staging copy into it.
+    """
     run_id = staged.run_id or uuid.uuid4().hex
     generated_at = utc_now_rfc3339()
-    loaded: Dict[str, TabularDataset] = {}
+    cache = DatasetCache() if cache is None else cache
     documents = []
     for req in payload.analyses:
-        if req.dataset not in loaded:
-            loaded[req.dataset] = load_csv(staged.staged[req.dataset], name=req.dataset)
-        documents.append(
-            _execute_request(payload, req, loaded[req.dataset], run_id, generated_at)
+        ds = cache.get(
+            req.dataset, staged.versions.get(req.dataset), staged.staged[req.dataset]
         )
+        documents.append(_execute_request(payload, req, ds, run_id, generated_at))
     return documents
 
 

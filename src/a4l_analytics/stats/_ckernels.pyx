@@ -157,7 +157,7 @@ cdef inline double _beta_step(double a, double b, double ln_y, double ln_1my):
 
 cdef double _nct_cdf_nonneg(double t, double df, double delta) except? -1.0:
     cdef double base = _normal_cdf(-delta)
-    cdef double lam, b, tt, y, ln_y, ln_1my
+    cdef double lam, b, tt, y, ln_y, one_my, ln_1my
     cdef double ln_p0, ln_q0, p_w, q_w, ip, iq, gp, gq, total
     cdef double pj, qj, ipj, iqj, gpj, gqj, gpj_next, gqj_next, term, result
     cdef long j0, j
@@ -168,12 +168,22 @@ cdef double _nct_cdf_nonneg(double t, double df, double delta) except? -1.0:
     lam = 0.5 * delta * delta
     b = 0.5 * df
     tt = t * t
-    y = tt / (tt + df)
+    if tt == INFINITY:
+        # t*t overflowed: y is 1 to double precision
+        y = 1.0
+    else:
+        y = tt / (tt + df)
     if y == 0.0:
         # t*t underflowed; every series term carries a factor of y
         return base
     ln_y = log(y)
-    ln_1my = log(df / (tt + df))
+    # 1 - y = df / (t*t + df); once that underflows to 0 (t*t overflowed),
+    # log(1 - y) = log(df) - 2 log(t) to double precision.
+    one_my = df / (tt + df)
+    if one_my > 0.0:
+        ln_1my = log(one_my)
+    else:
+        ln_1my = log(df) - 2.0 * log(t)
 
     j0 = <long>lam
 

@@ -193,12 +193,19 @@ def _nct_cdf_nonneg(t, df, delta):
     lam = 0.5 * delta * delta
     b = 0.5 * df
     tt = t * t
-    y = tt / (tt + df)
+    if tt == math.inf:
+        # t*t overflowed: y is 1 to double precision
+        y = 1.0
+    else:
+        y = tt / (tt + df)
     if y == 0.0:
         # t*t underflowed; every series term carries a factor of y
         return base
     ln_y = math.log(y)
-    ln_1my = math.log(df / (tt + df))
+    # 1 - y = df / (t*t + df); once that underflows to 0 (t*t overflowed),
+    # log(1 - y) = log(df) - 2 log(t) to double precision.
+    one_my = df / (tt + df)
+    ln_1my = math.log(one_my) if one_my > 0.0 else math.log(df) - 2.0 * math.log(t)
 
     # Poisson(lam) weights peak at j0; anchor every recurrence there so
     # large-delta evaluations never touch underflowing j=0 terms.

@@ -294,6 +294,22 @@ def add_domain(root: Path, domain: str) -> Path:
 
 
 @pytest.fixture
+def parses(monkeypatch):
+    """Dataset name of every real CSV parse made through dataset.load_csv."""
+    from a4l_analytics import dataset
+
+    parsed = []
+    original = dataset.load_csv
+
+    def counting(path, name=None):
+        parsed.append(name)
+        return original(path, name=name)
+
+    monkeypatch.setattr(dataset, "load_csv", counting)
+    return parsed
+
+
+@pytest.fixture
 def domain_root(tmp_path):
     return build_root(tmp_path / "root")
 

@@ -101,6 +101,55 @@ class TestRun:
         assert not (synced_root / "results" / "fresh_bucket").exists()
 
 
+class TestBrokenWarehouseDataset:
+    @pytest.fixture
+    def ragged_root(self, domain_root):
+        store = domain_root / "store" / "vera_summer23_usage.csv"
+        store.write_text(
+            store.read_text(encoding="utf-8") + "true,3.1\n", encoding="utf-8"
+        )
+        run_cycle(domain_root)
+        return domain_root
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_referencing_payload_exits_1(self, ragged_root, capsys, command):
+        code = run_cli(
+            "--root", str(ragged_root), command,
+            str(ragged_root / "payloads" / "vera_summer23.json"),
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert "ragged row" in out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_other_payload_exits_0(self, ragged_root, capsys, command):
+        code = run_cli(
+            "--root", str(ragged_root), command,
+            str(ragged_root / "payloads" / "sami_fall24.json"),
+        )
+        assert code == 0
+
+
+class TestParseOnce:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_parses_only_the_payloads_datasets(self, synced_root, parses, command):
+        code = run_cli(
+            "--root", str(synced_root), command,
+            str(synced_root / "payloads" / "sami_fall24.json"),
+        )
+        assert code == 0
+        assert parses == ["sami_fall24_usage"]
+
+    def test_each_command_parses_afresh(self, synced_root, parses):
+        for _ in range(2):
+            run_cli(
+                "--root", str(synced_root), "run",
+                str(synced_root / "payloads" / "jw_fall23.json"),
+            )
+        assert parses == ["jw_fall23_usage", "jw_fall23_usage"]
+
+
 class TestSync:
     def test_unchanged_store(self, synced_root, capsys):
         code = run_cli("--root", str(synced_root), "sync")

@@ -1,10 +1,12 @@
 """CSV loading, kind inference, warehouse and staging."""
 
+import hashlib
 import json
 
 import pytest
 
 from a4l_analytics.dataset import (
+    DatasetCache,
     StagedRun,
     Warehouse,
     fetch_to_staging,
@@ -85,6 +87,47 @@ class TestLoadCsv:
         ds = load_csv(path)
         assert ds.column("name").cells == ("last, first",)
 
+    def test_crlf_bom_and_quoted_newline_kept(self, tmp_path):
+        raw = '\ufeffa,note\r\n1,"two\r\nlines"\r\n'.encode("utf-8")
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        ds = load_csv(path)
+        assert ds.column_names() == ["\ufeffa", "note"]
+        assert ds.column("note").cells == ("two\r\nlines",)
+        assert ds.version == hashlib.sha256(raw).hexdigest()
+
+    def test_invalid_utf8_is_dataset_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n\xff,1\n")
+        with pytest.raises(DatasetError, match="unreadable"):
+            load_csv(path)
+
+
+class TestDatasetCache:
+    def test_same_key_parses_once(self, tmp_path, parses):
+        path = write(tmp_path, "d.csv", "a\n1\n")
+        cache = DatasetCache()
+        first = cache.get("d", "v1", path)
+        assert cache.get("d", "v1", path) is first
+        assert parses == ["d"]
+
+    def test_new_version_parses_again(self, tmp_path, parses):
+        path = write(tmp_path, "d.csv", "a\n1\n")
+        cache = DatasetCache()
+        cache.get("d", "v1", path)
+        path.write_text("a\n2\n", encoding="utf-8")
+        assert cache.get("d", "v2", path).column("a").cells == (2.0,)
+        assert parses == ["d", "d"]
+
+    def test_retain_drops_other_names(self, tmp_path, parses):
+        cache = DatasetCache()
+        cache.get("d", "v1", write(tmp_path, "d.csv", "a\n1\n"))
+        cache.get("e", "v1", write(tmp_path, "e.csv", "b\n1\n"))
+        cache.retain(["e"])
+        cache.get("e", "v1", tmp_path / "e.csv")
+        cache.get("d", "v1", tmp_path / "d.csv")
+        assert parses == ["d", "e", "d"]
+
 
 class TestWarehouse:
     def _prime(self, root, name, text):
@@ -122,6 +165,24 @@ class TestWarehouse:
     def test_column_catalog(self, tmp_path):
         wh = self._prime(tmp_path, "d", "used,score\ntrue,1.5\nfalse,2.5\n")
         assert wh.column_catalog() == {"d": {"used": "boolean", "score": "numeric"}}
+
+    def test_column_catalog_parses_only_what_is_looked_up(self, tmp_path, parses):
+        wh = self._prime(tmp_path, "d", "used,score\ntrue,1.5\nfalse,2.5\n")
+        manifest = wh.manifest()
+        broken = wh.dataset_path("broken")
+        broken.write_text("a,b\n1\n", encoding="utf-8")
+        manifest["broken"] = dict(manifest["d"], sha256=sha256_file(broken))
+        wh.write_manifest(manifest)
+
+        catalog = wh.column_catalog(DatasetCache())
+        assert sorted(catalog) == ["broken", "d"]
+        assert "broken" in catalog and "ghost" not in catalog
+        assert parses == []
+        assert catalog["d"] == {"used": "boolean", "score": "numeric"}
+        assert catalog["d"]["score"] == "numeric"
+        assert parses == ["d"]
+        with pytest.raises(DatasetError, match="ragged"):
+            catalog["broken"]
 
     def test_load_unknown_dataset(self, tmp_path):
         wh = self._prime(tmp_path, "d", "a\n1\n")

@@ -4,8 +4,11 @@ import hashlib
 import json
 import os
 
+import weakref
+
 import pytest
 
+from a4l_analytics import orchestrator
 from a4l_analytics.dataset import Warehouse, sha256_file
 from a4l_analytics.errors import LockHeldError
 from a4l_analytics.orchestrator import (
@@ -16,7 +19,7 @@ from a4l_analytics.orchestrator import (
     sync_warehouse,
     watch,
 )
-from conftest import add_domain, build_root
+from conftest import add_domain, build_root, xyz_csv
 
 
 class TestScanStore:
@@ -252,6 +255,140 @@ class TestRunCycle:
         assert [u.dataset for u in report.updated] == ["xyz_spring25_usage"]
         assert report.selected_payloads == ["xyz_spring25.json"]
         assert (synced_root / "results" / "xyz" / "xyz_spring25_ttest.json").is_file()
+
+
+def _meta_payload(datasets):
+    """A payload with one descriptives request on each named dataset."""
+    independents = {
+        "jw_fall23_usage": ("used_jw", "course_final_score"),
+        "sami_fall24_usage": ("used_sami", "sob_score"),
+        "vera_summer23_usage": ("used_vera", "nfc_score"),
+    }
+    analyses = []
+    for i, name in enumerate(datasets):
+        independent, dependent = independents[name]
+        analyses.append(
+            {
+                "statistic": "get_descriptives",
+                "dataset": name,
+                "independent": independent,
+                "dependent": [dependent],
+                "result_file": f"meta_{i}",
+            }
+        )
+    return {
+        "payload_version": 1,
+        "domain": "meta",
+        "analyses": analyses,
+        "output": {"bucket": "meta", "prefix": ""},
+    }
+
+
+def _ragged_vera(root):
+    store = root / "store" / "vera_summer23_usage.csv"
+    store.write_text(
+        store.read_text(encoding="utf-8") + "true,3.1\n", encoding="utf-8"
+    )
+
+
+class TestParseOnce:
+    def test_cycle_parses_each_referenced_dataset_once(self, domain_root, parses):
+        # meta.json shares two datasets with other payloads; xyz is synced
+        # but referenced by no payload
+        (domain_root / "payloads" / "meta.json").write_text(
+            json.dumps(_meta_payload(["sami_fall24_usage", "jw_fall23_usage"])),
+            encoding="utf-8",
+        )
+        (domain_root / "store" / "xyz_spring25_usage.csv").write_text(
+            xyz_csv(), encoding="utf-8"
+        )
+        report = run_cycle(domain_root)
+        assert report.all_ok()
+        assert len(report.selected_payloads) == 4
+        assert sorted(parses) == [
+            "jw_fall23_usage",
+            "sami_fall24_usage",
+            "vera_summer23_usage",
+        ]
+
+    def test_each_cycle_parses_afresh(self, tmp_path, parses):
+        # identical bytes in two roots: a cache that outlived its cycle
+        # would serve the second cycle without parsing
+        for name in ("a", "b"):
+            run_cycle(build_root(tmp_path / name))
+        assert sorted(parses) == sorted(
+            ["jw_fall23_usage", "sami_fall24_usage", "vera_summer23_usage"] * 2
+        )
+
+    def test_only_changed_dataset_parsed(self, synced_root, parses):
+        store = synced_root / "store" / "vera_summer23_usage.csv"
+        store.write_text(
+            store.read_text(encoding="utf-8") + "true,3.10,3.20,3.30,3.40,female\n",
+            encoding="utf-8",
+        )
+        report = run_cycle(synced_root)
+        assert report.selected_payloads == ["vera_summer23.json"]
+        assert parses == ["vera_summer23_usage"]
+
+    def test_documents_carry_hash_of_analysed_bytes(self, domain_root):
+        report = run_cycle(domain_root)
+        warehouse = Warehouse(domain_root)
+        for outcome in report.run_outcomes:
+            for key in outcome.result_keys:
+                doc = json.loads(
+                    (domain_root / "results" / key).read_text(encoding="utf-8")
+                )
+                name = doc["dataset"]["name"]
+                data = warehouse.dataset_path(name).read_bytes()
+                assert doc["dataset"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+    def test_dataset_freed_after_its_last_payload(self, domain_root, monkeypatch):
+        (domain_root / "payloads" / "meta.json").write_text(
+            json.dumps(_meta_payload(["jw_fall23_usage", "sami_fall24_usage"])),
+            encoding="utf-8",
+        )
+        alive = {}
+        seen = []
+        original_get = orchestrator.DatasetCache.get
+        original_run = orchestrator.run_payload_file
+
+        def tracking_get(self, name, sha256, path):
+            ds = original_get(self, name, sha256, path)
+            alive[name] = weakref.ref(ds)
+            return ds
+
+        def recording_run(path, warehouse, cache):
+            live = sorted(n for n, ref in alive.items() if ref() is not None)
+            seen.append((path.name, live))
+            return original_run(path, warehouse, cache)
+
+        monkeypatch.setattr(orchestrator.DatasetCache, "get", tracking_get)
+        monkeypatch.setattr(orchestrator, "run_payload_file", recording_run)
+        run_cycle(domain_root)
+        assert seen == [
+            ("jw_fall23.json", []),
+            ("meta.json", ["jw_fall23_usage"]),
+            ("sami_fall24.json", ["sami_fall24_usage"]),
+            ("vera_summer23.json", []),
+        ]
+
+
+class TestBrokenDataset:
+    def test_ragged_csv_fails_only_its_payloads(self, domain_root):
+        _ragged_vera(domain_root)
+        report = run_cycle(domain_root)
+        by_file = {o.payload_file: o for o in report.run_outcomes}
+        assert by_file["vera_summer23.json"].status == "error"
+        assert "ragged row" in by_file["vera_summer23.json"].detail
+        assert by_file["jw_fall23.json"].status == "ok"
+        assert by_file["sami_fall24.json"].status == "ok"
+        assert (domain_root / "results" / "sami" / "sami_fall24_ttest.json").is_file()
+        (stored,) = (domain_root / "runs").glob("*.json")
+        statuses = {
+            o["payload_file"]: o["status"]
+            for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+        }
+        assert statuses["vera_summer23.json"] == "error"
 
 
 class TestWatch:

@@ -10,6 +10,7 @@ from a4l_analytics.payload import OutputSpec, parse_payload
 from a4l_analytics.runner import (
     ResultDocument,
     execute_payload,
+    group_index,
     split_groups,
     write_result,
 )
@@ -72,6 +73,41 @@ class TestSplitGroups:
         ds = dataset_from(tmp_path, "used,label\ntrue,a\nfalse,b\n")
         with pytest.raises(GroupSplitError, match="numeric"):
             split_groups(ds, "used", "label")
+
+    def test_independent_error_raised_before_dependent_error(self, tmp_path):
+        ds = dataset_from(tmp_path, "used,label\n1,a\n2,b\n")
+        with pytest.raises(GroupSplitError, match="boolean or categorical"):
+            split_groups(ds, "used", "label")
+
+
+class TestGroupIndex:
+    def test_levels_and_rows(self, tmp_path):
+        ds = dataset_from(tmp_path, "used,score\ntrue,1\n,2\nfalse,3\ntrue,\n")
+        index = group_index(ds, "used")
+        assert index.labels == ("false", "true")
+        assert index.rows == ((2,), (0, 3))
+        assert index.ordering() == {"false": "group1", "true": "group2"}
+
+    def test_shared_index_splits_like_a_fresh_one(self, tmp_path):
+        ds = dataset_from(
+            tmp_path,
+            "grp,s1,s2\nb,1,\na,2,5\nb,3,6\n,4,7\na,,8\n",
+        )
+        index = group_index(ds, "grp")
+        for dep in ("s1", "s2"):
+            shared = split_groups(ds, "grp", dep, index)
+            fresh = split_groups(ds, "grp", dep)
+            assert shared == fresh
+        assert split_groups(ds, "grp", "s2", index).sample1 == [5.0, 8.0]
+
+    def test_level_count_error_message(self, tmp_path):
+        ds = dataset_from(tmp_path, "grp,score\na,1\na,2\n")
+        with pytest.raises(GroupSplitError) as exc_info:
+            group_index(ds, "grp")
+        assert str(exc_info.value) == (
+            "independent column 'grp' must have exactly 2 distinct "
+            "non-missing levels, found 1: ['a']"
+        )
 
 
 def _staged_root(root):

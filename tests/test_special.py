@@ -158,6 +158,16 @@ class TestNoncentralT:
                 continue
             assert mine == pytest.approx(ref, abs=1e-8)
 
+    @pytest.mark.parametrize("x", [1e155, -1e155, 1e200, -1e200])
+    @pytest.mark.parametrize("nc", [1.0, -2.0, 6.0])
+    def test_huge_x_where_x_squared_overflows(self, x, nc):
+        p = noncentral_t_cdf(x, 10.0, nc)
+        assert 0.0 <= p <= 1.0
+        ref = oracles.scipy_nct_cdf(x, 10.0, nc)
+        if not math.isnan(ref):
+            assert p == pytest.approx(ref, abs=1e-12)
+        assert p == pytest.approx(1.0 - noncentral_t_cdf(-x, 10.0, -nc), abs=1e-13)
+
     def test_reflection(self):
         lhs = noncentral_t_cdf(-1.2, 9.0, -2.0)
         rhs = 1.0 - noncentral_t_cdf(1.2, 9.0, 2.0)

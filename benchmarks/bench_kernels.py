@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
-"""Benchmark: compiled kernel extension vs the pure-Python twin.
+"""Benchmark: per-call time of the numeric kernels and the t quantile.
 
-Run from the repository root after building the extension:
+Run from the repository root:
 
-    python benchmarks/bench_kernels.py
+    PYTHONPATH=src python benchmarks/bench_kernels.py
+
+Each case reports the best of five repeats. The last case is two-sided
+post-hoc power at n1 = n2 = 20 with a 1.5 variance ratio (df 36.5): one
+t quantile and two noncentral t CDFs, the work of one power dependent.
 """
 
 import timeit
 
-from a4l_analytics.stats import _pure
+from a4l_analytics.stats import GroupSummary, student_t_quantile, welch_power
+from a4l_analytics.stats._backend import kernels
 
-try:
-    from a4l_analytics.stats import _ckernels
-except ImportError:
-    _ckernels = None
+_G1 = GroupSummary(label="group1", n=20, mean=3.4, sd=1.5**0.5)
+_G2 = GroupSummary(label="group2", n=20, mean=2.7, sd=1.0)
 
 CASES = [
-    ("betainc(2.5, 3.5, 0.3)", lambda m: m.betainc(2.5, 3.5, 0.3)),
-    ("betainc(500, 700, 0.42)", lambda m: m.betainc(500.0, 700.0, 0.42)),
-    ("student_t_cdf(1.5, 38)", lambda m: m.student_t_cdf(1.5, 38.0)),
-    ("noncentral_t_cdf(2.0, 38, 2.53)", lambda m: m.noncentral_t_cdf(2.0, 38.0, 2.53)),
-    ("noncentral_t_cdf(30, 120, 32)", lambda m: m.noncentral_t_cdf(30.0, 120.0, 32.0)),
-    ("normal_cdf(1.96)", lambda m: m.normal_cdf(1.96)),
-    ("mwu_exact_counts(6, 6)", lambda m: m.mwu_exact_counts(6, 6)),
+    ("betainc(2.5, 3.5, 0.3)", lambda: kernels.betainc(2.5, 3.5, 0.3)),
+    ("betainc(500, 700, 0.42)", lambda: kernels.betainc(500.0, 700.0, 0.42)),
+    ("student_t_cdf(1.5, 38)", lambda: kernels.student_t_cdf(1.5, 38.0)),
+    ("noncentral_t_cdf(2.0, 38, 2.53)", lambda: kernels.noncentral_t_cdf(2.0, 38.0, 2.53)),
+    ("noncentral_t_cdf(30, 120, 32)", lambda: kernels.noncentral_t_cdf(30.0, 120.0, 32.0)),
+    ("normal_cdf(1.96)", lambda: kernels.normal_cdf(1.96)),
+    ("mwu_exact_counts(6, 6)", lambda: kernels.mwu_exact_counts(6, 6)),
+    ("student_t_quantile(0.975, 36.5)", lambda: student_t_quantile(0.975, 36.5)),
+    ("welch_power(n1=n2=20, two-sided)", lambda: welch_power(_G1, _G2)),
 ]
 
 
@@ -32,17 +37,10 @@ def time_call(fn, repeats=5, number=2000):
 
 
 def main():
-    if _ckernels is None:
-        print("compiled backend not available; build it with:")
-        print("    python setup.py build_ext --inplace")
-        return
-
     width = max(len(name) for name, _ in CASES)
-    print(f"{'kernel':<{width}}  {'pure us':>9}  {'compiled us':>11}  {'speedup':>7}")
+    print(f"{'case':<{width}}  {'us/call':>9}")
     for name, call in CASES:
-        t_pure = time_call(lambda: call(_pure)) * 1e6
-        t_comp = time_call(lambda: call(_ckernels)) * 1e6
-        print(f"{name:<{width}}  {t_pure:>9.2f}  {t_comp:>11.2f}  {t_pure / t_comp:>6.1f}x")
+        print(f"{name:<{width}}  {time_call(call) * 1e6:>9.2f}")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ nothing. A lock file makes cycles mutually exclusive; dataset hashes
 (not timestamps) decide what counts as new data.
 """
 
+import fcntl
 import json
 import os
 import shutil
@@ -80,58 +81,38 @@ class SyncReport:
 
 
 class CycleLock:
-    """Single-instance lock file with stale-lock takeover.
+    """Single-instance lock: an exclusive ``flock`` on the lock file.
 
-    The lock records the owning pid; a lock whose pid is no longer
-    alive is treated as stale and reclaimed.
+    The kernel drops the lock when its holder exits, however it exits, so
+    a crashed cycle leaves nothing to reclaim, and no pid in the file is
+    read or trusted. Each CycleLock opens the file afresh, so two locks
+    exclude each other within one process too. The file itself is never
+    removed: unlinking it would let a later starter lock a new file while
+    an earlier one still holds the old.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.held = False
+        self._fd: Optional[int] = None
+
+    @property
+    def held(self) -> bool:
+        return self._fd is not None
 
     def acquire(self) -> bool:
-        for _ in range(2):
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._is_stale():
-                    try:
-                        self.path.unlink()
-                    except FileNotFoundError:
-                        pass
-                    continue
-                return False
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"pid": os.getpid(), "started": utc_now_rfc3339()}, fh)
-            self.held = True
-            return True
-        return False
-
-    def _is_stale(self) -> bool:
+        fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                info = json.load(fh)
-            pid = int(info["pid"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            return True
-        if pid == os.getpid():
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            return False
-        return False
+        self._fd = fd
+        return True
 
     def release(self) -> None:
-        if self.held:
-            try:
-                self.path.unlink()
-            except FileNotFoundError:
-                pass
-            self.held = False
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
 
     def __enter__(self) -> "CycleLock":
         if not self.acquire():
@@ -204,13 +185,6 @@ def sync_warehouse(
     return updates
 
 
-def _registry_payloads(registry_dir: Union[str, Path]) -> List[Path]:
-    registry = Path(registry_dir)
-    if not registry.is_dir():
-        return []
-    return sorted(registry.glob("*.json"))
-
-
 def payload_index(
     registry_dir: Union[str, Path],
 ) -> Tuple[Dict[str, List[str]], List[str]]:
@@ -218,7 +192,10 @@ def payload_index(
     names of unparseable payload files."""
     index: Dict[str, List[str]] = {}
     broken: List[str] = []
-    for path in _registry_payloads(registry_dir):
+    registry = Path(registry_dir)
+    if not registry.is_dir():
+        return index, broken
+    for path in sorted(registry.glob("*.json")):
         try:
             payload = parse_payload(path.read_bytes())
         except (PayloadError, OSError):
@@ -240,18 +217,13 @@ def select_affected_payloads(
     the datasets each selected payload references, keyed by file name.
     """
     updated_names = {u.dataset for u in updates}
+    index, broken = payload_index(registry_dir)
     selected: List[Path] = []
-    broken: List[str] = []
-    for path in _registry_payloads(registry_dir):
-        try:
-            payload = parse_payload(path.read_bytes())
-        except (PayloadError, OSError):
-            broken.append(path.name)
-            continue
-        if payload.datasets() & updated_names:
-            selected.append(path)
+    for name, datasets in index.items():
+        if updated_names.intersection(datasets):
+            selected.append(Path(registry_dir, name))
             if references is not None:
-                references[path.name] = frozenset(payload.datasets())
+                references[name] = frozenset(datasets)
     return selected, broken
 
 

@@ -1,8 +1,8 @@
 """Statistical procedures and the special functions behind them.
 
-Everything here is pure and deterministic; the numeric kernels run on a
-compiled extension when available and on a pure-Python twin otherwise
-(see :func:`kernel_backend`).
+Everything here is pure and deterministic. The numeric kernels are
+implemented once, in pure Python (``_pure``); :func:`kernel_backend`
+names that implementation for benchmark records.
 """
 
 from ._backend import kernel_backend

@@ -1,26 +1,12 @@
-"""Kernel backend selection.
+"""The numeric kernels the statistics call.
 
-The compiled extension is preferred when present; ``A4L_PURE_PYTHON=1``
-forces the pure-Python twin (useful for debugging and benchmarking).
+There is one implementation, in pure Python (``_pure``). Callers reach
+it through ``kernels`` so the benchmark's tracer can count its calls.
 """
 
-import os
-
-if os.environ.get("A4L_PURE_PYTHON"):
-    from . import _pure as kernels
-
-    BACKEND = "pure-python"
-else:
-    try:
-        from . import _ckernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pure as kernels  # type: ignore[no-redef]
-
-        BACKEND = "pure-python"
+from . import _pure as kernels
 
 
 def kernel_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
+    """Name of the kernel implementation, recorded with benchmark runs."""
+    return "pure-python"

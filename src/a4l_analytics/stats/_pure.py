@@ -1,10 +1,10 @@
-"""Scalar numeric kernels, pure-Python backend.
+"""Scalar numeric kernels, in pure Python.
 
-This module is the reference twin of the compiled backend in
-``_ckernels.pyx``; the two must stay algorithm-for-algorithm identical.
-Callers are expected to have validated argument domains already (the
-public wrappers in ``special.py`` do), so the functions here only guard
-against conditions that arise mid-computation.
+This is the only implementation of the kernels; the statistics reach it
+through ``_backend.kernels``. Callers are expected to have validated
+argument domains already (the public wrappers in ``special.py`` do), so
+the functions here only guard against conditions that arise
+mid-computation.
 
 Algorithms:
 

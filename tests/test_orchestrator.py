@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import weakref
 
@@ -145,6 +147,48 @@ class TestSelection:
         selected, broken = select_affected_payloads(updates, synced_root / "payloads")
         assert broken == ["broken.json"]
         assert [p.name for p in selected] == ["sami_fall24.json"]
+
+
+class TestCycleLock:
+    def test_dead_pid_written_over_a_held_lock_does_not_free_it(self, tmp_path):
+        # the lock is the flock, not the file's contents
+        path = tmp_path / ".a4l.lock"
+        first = CycleLock(path)
+        assert first.acquire()
+        try:
+            path.write_text(
+                json.dumps({"pid": 2**22 + 12345, "started": "x"}), encoding="utf-8"
+            )
+            second = CycleLock(path)
+            assert not second.acquire()
+            assert not second.held
+        finally:
+            first.release()
+
+    def test_lock_of_a_killed_holder_is_free(self, tmp_path):
+        path = tmp_path / ".a4l.lock"
+        holder_code = (
+            "import sys\n"
+            "from a4l_analytics.orchestrator import CycleLock\n"
+            "lock = CycleLock(sys.argv[1])\n"
+            "print('held' if lock.acquire() else 'busy', flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", holder_code, str(path)],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        ) as holder:
+            try:
+                assert holder.stdout.readline() == "held\n"
+                assert not CycleLock(path).acquire()
+            finally:
+                holder.kill()
+        lock = CycleLock(path)
+        assert lock.acquire()
+        lock.release()
+        assert path.exists()
 
 
 class TestRunCycle:

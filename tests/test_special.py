@@ -13,6 +13,7 @@ from a4l_analytics.stats import (
     student_t_cdf,
     student_t_quantile,
 )
+from a4l_analytics.stats._backend import kernels
 
 
 class TestIncompleteBeta:
@@ -178,12 +179,32 @@ class TestNoncentralT:
             noncentral_t_cdf(1.0, -1.0, 0.5)
 
 
+QUANTILE_DFS = [0.5, 1.0, 2.5, 3.0, 38.0, 500.0, 1e4]
+QUANTILE_PS = [1e-6, 0.025, 0.5, 0.8, 0.975, 1.0 - 1e-6]
+
+
 class TestQuantile:
-    @pytest.mark.parametrize("df", [1.0, 3.0, 38.0, 500.0])
-    @pytest.mark.parametrize("p", [1e-6, 0.025, 0.5, 0.8, 0.975, 1.0 - 1e-6])
+    @pytest.mark.parametrize("df", QUANTILE_DFS)
+    @pytest.mark.parametrize("p", QUANTILE_PS)
     def test_round_trip(self, df, p):
         t = student_t_quantile(p, df)
         assert student_t_cdf(t, df) == pytest.approx(p, abs=1e-12)
+
+    def test_few_cdf_evaluations(self, monkeypatch):
+        # a close start plus Halley steps, not a bisection (~60 evaluations)
+        calls = []
+        cdf = kernels.student_t_cdf
+
+        def counting_cdf(x, df):
+            calls.append(x)
+            return cdf(x, df)
+
+        monkeypatch.setattr(kernels, "student_t_cdf", counting_cdf)
+        for df in QUANTILE_DFS:
+            for p in QUANTILE_PS:
+                del calls[:]
+                student_t_quantile(p, df)
+                assert len(calls) <= 8, (p, df, len(calls))
 
     def test_median(self):
         assert student_t_quantile(0.5, 10.0) == 0.0

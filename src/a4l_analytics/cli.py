@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset import DatasetCache, Warehouse, fetch_to_staging
+from .dataset import DatasetCache, Warehouse, fetch_to_staging  # noqa: F401
 from .errors import (
     A4LError,
     LockHeldError,
@@ -19,9 +19,9 @@ from .errors import (
     PayloadError,
     PayloadParseError,
 )
-from .orchestrator import payload_index, run_cycle, watch
+from .orchestrator import payload_index, run_cycle, run_payload_file, watch
 from .payload import parse_payload, validate_payload
-from .runner import execute_payload, write_result
+from .runner import execute_payload, write_result  # noqa: F401
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -59,25 +59,17 @@ def _load_payload(args, path):
         return None, EXIT_PARSE
 
 
-def _validate(args, payload, warehouse, cache):
-    """Validate ``payload``; the report, or None once an I/O error is shown.
-
-    The catalog parses a dataset only when the payload references it, so
-    a broken file surfaces here as DatasetError or OSError.
-    """
-    try:
-        return validate_payload(payload, catalog=warehouse.column_catalog(cache))
-    except (A4LError, OSError) as exc:
-        _emit(args, f"error: {exc}", {"error": str(exc)})
-        return None
-
-
 def cmd_validate(args) -> int:
     payload, code = _load_payload(args, args.payload)
     if payload is None:
         return code
-    report = _validate(args, payload, Warehouse(args.root), DatasetCache())
-    if report is None:
+    # The catalog parses a dataset only when the payload references it,
+    # so a broken file surfaces here as DatasetError or OSError.
+    try:
+        catalog = Warehouse(args.root).column_catalog(DatasetCache())
+        report = validate_payload(payload, catalog=catalog)
+    except (A4LError, OSError) as exc:
+        _emit(args, f"error: {exc}", {"error": str(exc)})
         return EXIT_IO
     if report.ok:
         _emit(args, "ok", {"ok": True, "diagnostics": []})
@@ -91,30 +83,23 @@ def cmd_run(args) -> int:
     payload, code = _load_payload(args, args.payload)
     if payload is None:
         return code
-    warehouse = Warehouse(args.root)
-    cache = DatasetCache()
-    report = _validate(args, payload, warehouse, cache)
-    if report is None:
-        return EXIT_IO
-    if not report.ok:
-        diags = [d.render() for d in report.diagnostics]
-        _emit(args, "\n".join(diags), {"ok": False, "diagnostics": diags})
+    outcome = run_payload_file(
+        Path(args.payload).name, payload, Warehouse(args.root), DatasetCache()
+    )
+    keys = ["results/" + key for key in outcome.result_keys]
+    if outcome.status == "validation_failed":
+        # one diagnostic per line: every payload-supplied value is repr'd
+        diags = outcome.detail.split("\n")
+        _emit(args, outcome.detail, {"ok": False, "diagnostics": diags})
         return EXIT_VALIDATION
-
-    keys = []
-    any_errors = False
-    try:
-        with fetch_to_staging(sorted(payload.datasets()), warehouse) as staged:
-            for doc in execute_payload(payload, staged, cache):
-                key = write_result(doc, payload.output, Path(args.root) / "results")
-                keys.append("results/" + key.as_path())
-                any_errors = any_errors or doc.has_errors()
-    except (A4LError, OSError) as exc:
-        _emit(args, f"error: {exc}", {"error": str(exc), "results": keys})
+    if outcome.status == "error":
+        machine = {"error": outcome.detail}
+        if keys:
+            machine["results"] = keys
+        _emit(args, f"error: {outcome.detail}", machine)
         return EXIT_IO
-    status = "partial" if any_errors else "ok"
-    _emit(args, "\n".join(keys), {"status": status, "results": keys})
-    return EXIT_PARTIAL if any_errors else EXIT_OK
+    _emit(args, "\n".join(keys), {"status": outcome.status, "results": keys})
+    return EXIT_PARTIAL if outcome.status == "partial" else EXIT_OK
 
 
 def _report_summary(report) -> str:
@@ -166,7 +151,8 @@ def cmd_list(args) -> int:
     except ManifestError as exc:
         _emit(args, f"error: {exc}", {"error": str(exc)})
         return EXIT_IO
-    index, broken = payload_index(Path(args.root) / "payloads")
+    parsed, broken = payload_index(Path(args.root) / "payloads")
+    index = {name: sorted(payload.datasets()) for name, payload in parsed.items()}
 
     lines = []
     for name in sorted(manifest):

@@ -1,4 +1,4 @@
-"""Typed columnar datasets, the local warehouse, and run staging.
+"""Typed columnar datasets and the local warehouse.
 
 Datasets are RFC 4180 CSV files with a header row. Column kinds are
 inferred deterministically (numeric, then boolean, then categorical) and
@@ -12,7 +12,6 @@ import io
 import json
 import math
 import os
-import shutil
 import tempfile
 import uuid
 from collections.abc import Mapping
@@ -76,6 +75,26 @@ class TabularDataset:
 
     def kinds(self) -> Dict[str, str]:
         return {c.name: c.kind for c in self.columns}
+
+
+def atomic_write(target: Path, data: bytes) -> None:
+    """Replace ``target`` with ``data`` in one step.
+
+    The bytes go to a temp file beside the target, which then replaces
+    it, so a reader sees the old file or the new one, never a part. On
+    any failure the temp file is removed and the target is untouched.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=target.parent, prefix=f".{target.stem}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def sha256_file(path: Union[str, Path]) -> str:
@@ -250,24 +269,11 @@ class Warehouse:
 
     def write_manifest(self, entries: Dict[str, dict]) -> None:
         self.dir.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(entries, indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=self.dir, prefix=".manifest-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, self.manifest_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
+        atomic_write(self.manifest_path, text.encode("utf-8"))
 
     def dataset_path(self, name: str) -> Path:
         return self.dir / f"{name}.csv"
-
-    def load(self, name: str) -> TabularDataset:
-        if name not in self.manifest():
-            raise UnknownDatasetError(f"dataset {name!r} not in warehouse manifest")
-        return load_csv(self.dataset_path(name), name=name)
 
     def column_catalog(
         self, cache: Optional[DatasetCache] = None
@@ -283,50 +289,32 @@ class Warehouse:
 
 @dataclass
 class StagedRun:
-    """Run-private staging directory mapping dataset names to copies.
+    """The warehouse files one run reads.
 
-    ``versions`` holds the manifest sha256 of each staged name. The
-    directory lives for the duration of the run; use as a context
-    manager (or call close) to remove it afterward.
+    ``staged`` maps each dataset name to its file in ``warehouse/`` and
+    ``versions`` to its manifest sha256. Sync replaces warehouse files
+    atomically, so a run reads them in place.
     """
 
     run_id: str
-    root: Path
     staged: Dict[str, Path] = field(default_factory=dict)
     versions: Dict[str, Optional[str]] = field(default_factory=dict)
 
-    def close(self) -> None:
-        shutil.rmtree(self.root, ignore_errors=True)
-
-    def __enter__(self) -> "StagedRun":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def fetch_to_staging(names: Iterable[str], warehouse: Warehouse) -> StagedRun:
-    """Copy the requested datasets into a fresh run-private staging area.
+    """Resolve the requested dataset names against the warehouse manifest.
 
-    Every name must already be in the warehouse manifest; after payload
-    validation an unknown name here is an internal error.
+    Every name must already be in the manifest; after payload validation
+    an unknown name here is an internal error.
     """
     manifest = warehouse.manifest()
-    run_id = uuid.uuid4().hex
-    staging_root = Path(tempfile.mkdtemp(prefix=f"a4l-run-{run_id[:8]}-"))
-    run = StagedRun(run_id=run_id, root=staging_root)
-    try:
-        for name in names:
-            if name not in manifest:
-                raise UnknownDatasetError(
-                    f"dataset {name!r} not in warehouse manifest (internal error: "
-                    "payload should have been validated)"
-                )
-            dest = staging_root / f"{name}.csv"
-            shutil.copy2(warehouse.dataset_path(name), dest)
-            run.staged[name] = dest
-            run.versions[name] = manifest[name].get("sha256")
-    except BaseException:
-        run.close()
-        raise
+    run = StagedRun(run_id=uuid.uuid4().hex)
+    for name in names:
+        if name not in manifest:
+            raise UnknownDatasetError(
+                f"dataset {name!r} not in warehouse manifest (internal error: "
+                "payload should have been validated)"
+            )
+        run.staged[name] = warehouse.dataset_path(name)
+        run.versions[name] = manifest[name].get("sha256")
     return run

@@ -11,18 +11,22 @@ nothing. A lock file makes cycles mutually exclusive; dataset hashes
 import fcntl
 import json
 import os
-import shutil
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .dataset import DatasetCache, Warehouse, sha256_file
+from .dataset import (
+    DatasetCache,
+    Warehouse,
+    atomic_write,
+    fetch_to_staging,
+    sha256_file,
+)
 from .errors import A4LError, LockHeldError, PayloadError
 from .payload import AnalysisPayload, parse_payload, validate_payload
 from .runner import execute_payload, utc_now_rfc3339, write_result
-from .dataset import fetch_to_staging
 
 
 @dataclass
@@ -143,9 +147,10 @@ def sync_warehouse(
     """Pull changed store files into the warehouse, archiving old bytes.
 
     For every dataset whose store hash differs from the manifest (or is
-    absent from it), the existing warehouse file moves to
-    archive/<name>/<timestamp>.csv before the new bytes are copied in.
-    The manifest is rewritten atomically at the end.
+    absent from it), the existing warehouse file is hard-linked as
+    archive/<name>/<timestamp>.csv, then the new bytes replace it in one
+    step, so a reader of warehouse/<name>.csv always sees a whole
+    version. The manifest is rewritten atomically at the end.
     """
     if not lock.held:
         raise A4LError("sync_warehouse requires the cycle lock to be held")
@@ -167,15 +172,15 @@ def sync_warehouse(
             archive_dir = warehouse.archive_dir / name
             archive_dir.mkdir(parents=True, exist_ok=True)
             archive_path = archive_dir / f"{utc_now_rfc3339()}.csv"
-            shutil.move(str(target), str(archive_path))
+            os.link(target, archive_path)
             record.archived_to = str(archive_path.relative_to(warehouse.root))
 
         warehouse.dir.mkdir(parents=True, exist_ok=True)
-        source = store_dir / f"{name}.csv"
-        shutil.copy2(source, target)
+        data = (store_dir / f"{name}.csv").read_bytes()
+        atomic_write(target, data)
         manifest[name] = {
             "sha256": new_sha,
-            "bytes": target.stat().st_size,
+            "bytes": len(data),
             "updated": utc_now_rfc3339(),
         }
         updates.append(record)
@@ -187,94 +192,75 @@ def sync_warehouse(
 
 def payload_index(
     registry_dir: Union[str, Path],
-) -> Tuple[Dict[str, List[str]], List[str]]:
-    """Map payload file name -> referenced datasets; also returns the
-    names of unparseable payload files."""
-    index: Dict[str, List[str]] = {}
+) -> Tuple[Dict[str, AnalysisPayload], List[str]]:
+    """Parse every payload file of the registry, by file name; also
+    returns the names of unreadable or unparseable payload files."""
+    index: Dict[str, AnalysisPayload] = {}
     broken: List[str] = []
     registry = Path(registry_dir)
     if not registry.is_dir():
         return index, broken
     for path in sorted(registry.glob("*.json")):
         try:
-            payload = parse_payload(path.read_bytes())
+            index[path.name] = parse_payload(path.read_bytes())
         except (PayloadError, OSError):
             broken.append(path.name)
-            continue
-        index[path.name] = sorted(payload.datasets())
     return index, broken
 
 
 def select_affected_payloads(
-    updates: List[UpdateRecord],
-    registry_dir: Union[str, Path],
-    references: Optional[Dict[str, FrozenSet[str]]] = None,
-) -> Tuple[List[Path], List[str]]:
-    """Payload files referencing at least one updated dataset.
+    updates: List[UpdateRecord], registry_dir: Union[str, Path]
+) -> Tuple[Dict[str, AnalysisPayload], List[str]]:
+    """Parsed payloads referencing at least one updated dataset, by file
+    name.
 
     Deterministic (lexicographic by file name); unparseable payloads are
-    reported back, never fatal. When ``references`` is given, it receives
-    the datasets each selected payload references, keyed by file name.
+    reported back, never fatal.
     """
     updated_names = {u.dataset for u in updates}
     index, broken = payload_index(registry_dir)
-    selected: List[Path] = []
-    for name, datasets in index.items():
-        if updated_names.intersection(datasets):
-            selected.append(Path(registry_dir, name))
-            if references is not None:
-                references[name] = frozenset(datasets)
+    selected = {
+        name: payload
+        for name, payload in index.items()
+        if not updated_names.isdisjoint(payload.datasets())
+    }
     return selected, broken
 
 
 def run_payload_file(
-    payload_path: Union[str, Path], warehouse: Warehouse, cache: DatasetCache
+    name: str, payload: AnalysisPayload, warehouse: Warehouse, cache: DatasetCache
 ) -> RunOutcome:
-    """Validate, stage, execute and store one payload file.
+    """Validate, resolve, execute and store one parsed payload.
 
-    ``cache`` shares parsed datasets with the other payloads of a cycle.
-    A referenced dataset that cannot be read or parsed fails this
-    payload only, with status ``error``.
+    The one payload path of both ``sync`` and ``a4l run``; ``name`` is
+    the payload's file name. ``cache`` shares parsed datasets with the
+    other payloads of a cycle. A referenced dataset that cannot be read
+    or parsed fails this payload only, with status ``error``.
     """
-    payload_path = Path(payload_path)
-    try:
-        payload = parse_payload(payload_path.read_bytes())
-    except PayloadError as exc:
-        return RunOutcome(
-            payload_file=payload_path.name, status="parse_failed", detail=str(exc)
-        )
-
     try:
         report = validate_payload(payload, catalog=warehouse.column_catalog(cache))
     except (A4LError, OSError) as exc:
-        return RunOutcome(payload_file=payload_path.name, status="error", detail=str(exc))
+        return RunOutcome(payload_file=name, status="error", detail=str(exc))
     if not report.ok:
         return RunOutcome(
-            payload_file=payload_path.name,
-            status="validation_failed",
-            detail=report.render(),
+            payload_file=name, status="validation_failed", detail=report.render()
         )
 
     results_root = warehouse.root / "results"
     keys: List[str] = []
     any_errors = False
     try:
-        with fetch_to_staging(sorted(payload.datasets()), warehouse) as staged:
-            for doc in execute_payload(payload, staged, cache):
-                key = write_result(doc, payload.output, results_root)
-                keys.append(key.as_path())
-                any_errors = any_errors or doc.has_errors()
+        staged = fetch_to_staging(sorted(payload.datasets()), warehouse)
+        for doc in execute_payload(payload, staged, cache):
+            key = write_result(doc, payload.output, results_root)
+            keys.append(key.as_path())
+            any_errors = any_errors or doc.has_errors()
     except (A4LError, OSError) as exc:
         return RunOutcome(
-            payload_file=payload_path.name,
-            status="error",
-            result_keys=keys,
-            detail=str(exc),
+            payload_file=name, status="error", result_keys=keys, detail=str(exc)
         )
     return RunOutcome(
-        payload_file=payload_path.name,
-        status="partial" if any_errors else "ok",
-        result_keys=keys,
+        payload_file=name, status="partial" if any_errors else "ok", result_keys=keys
     )
 
 
@@ -296,11 +282,8 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
         updates = sync_warehouse(scan, warehouse, lock)
         report.updated = updates
 
-        references: Dict[str, FrozenSet[str]] = {}
-        selected, broken = select_affected_payloads(
-            updates, root / "payloads", references
-        )
-        report.selected_payloads = [p.name for p in selected]
+        selected, broken = select_affected_payloads(updates, root / "payloads")
+        report.selected_payloads = list(selected)
         for name in broken:
             report.run_outcomes.append(
                 RunOutcome(payload_file=name, status="parse_failed", detail="unparseable payload")
@@ -309,18 +292,16 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
         # Each dataset is parsed once per cycle and dropped as soon as no
         # remaining selected payload references it.
         cache = DatasetCache()
-        pending = Counter(name for p in selected for name in references[p.name])
-        for path in selected:
-            report.run_outcomes.append(run_payload_file(path, warehouse, cache))
-            pending.subtract(references[path.name])
-            cache.retain(name for name, count in pending.items() if count > 0)
+        pending = Counter(d for payload in selected.values() for d in payload.datasets())
+        for name, payload in selected.items():
+            report.run_outcomes.append(run_payload_file(name, payload, warehouse, cache))
+            pending.subtract(payload.datasets())
+            cache.retain(d for d, count in pending.items() if count > 0)
 
         runs_dir = root / "runs"
         runs_dir.mkdir(parents=True, exist_ok=True)
-        report_path = runs_dir / f"{report.scanned_at}.json"
-        report_path.write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
+        atomic_write(runs_dir / f"{report.scanned_at}.json", text.encode("utf-8"))
         return report
     finally:
         lock.release()

@@ -262,12 +262,21 @@ def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
 
     Defaults (alternative=two_sided, alpha=0.05) are applied here, so
     serializing the result and re-parsing yields an equal value.
-    Raises PayloadParseError for malformed JSON (with line/column) and
-    PayloadError carrying field-path diagnostics for structural
-    problems, including unknown fields.
+    Raises PayloadParseError for bytes that are not UTF-8 or malformed
+    JSON (with line/column) and PayloadError carrying field-path
+    diagnostics for structural problems, including unknown fields.
     """
     if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            column = exc.start - raw.rfind(b"\n", 0, exc.start)
+            raise PayloadParseError(
+                f"invalid UTF-8 at line {line}, column {column}: {exc.reason}",
+                line=line,
+                column=column,
+            ) from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:

@@ -1,4 +1,4 @@
-"""Executes one validated payload against staged datasets.
+"""Executes one validated payload against the warehouse datasets.
 
 Each analysis request produces exactly one result document. Statistical
 failures (degenerate data, too few observations, a bad group split) are
@@ -8,8 +8,6 @@ payload and the dataset bytes, apart from run_id and generated_at.
 """
 
 import json
-import os
-import tempfile
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -23,6 +21,7 @@ from .dataset import (  # noqa: F401  load_csv: looked up here by callers
     DatasetCache,
     StagedRun,
     TabularDataset,
+    atomic_write,
     load_csv,
 )
 from .errors import GroupSplitError, StatError
@@ -272,8 +271,8 @@ def execute_payload(
 ) -> List[ResultDocument]:
     """Run every request of a validated payload, in payload order.
 
-    Datasets come from ``cache`` when it already holds the staged
-    version; otherwise they are parsed from the staging copy into it.
+    Datasets come from ``cache`` when it already holds the manifest
+    version; otherwise they are parsed from the warehouse file into it.
     """
     run_id = staged.run_id or uuid.uuid4().hex
     generated_at = utc_now_rfc3339()
@@ -297,13 +296,5 @@ def write_result(
     target = Path(results_root).joinpath(*key.as_path().split("/"))
     target.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(doc.to_dict(), indent=2) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".result-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(target, text.encode("utf-8"))
     return key

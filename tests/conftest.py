@@ -310,6 +310,19 @@ def parses(monkeypatch):
 
 
 @pytest.fixture
+def no_staging(monkeypatch):
+    """Make any temp dir or file copy raise: runs read the warehouse in place."""
+    import shutil
+    import tempfile
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run made a temp dir or copied a file")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", forbidden)
+    monkeypatch.setattr(shutil, "copyfile", forbidden)
+
+
+@pytest.fixture
 def domain_root(tmp_path):
     return build_root(tmp_path / "root")
 

@@ -478,11 +478,11 @@ class TestCriterion5StructuralCoherence:
             payload = parse_payload(json.dumps(doc))
             report = validate_payload(payload, catalog=catalog)
             assert report.ok, report.render()
-            with fetch_to_staging(sorted(payload.datasets()), warehouse) as staged:
-                docs = execute_payload(payload, staged)
-                assert len(docs) == len(payload.analyses)
-                for result_doc in docs:
-                    write_result(result_doc, payload.output, root / "results")
+            staged = fetch_to_staging(sorted(payload.datasets()), warehouse)
+            docs = execute_payload(payload, staged)
+            assert len(docs) == len(payload.analyses)
+            for result_doc in docs:
+                write_result(result_doc, payload.output, root / "results")
             executed += 1
         assert executed == 100
         _report(5, "100/100 sampled valid payloads executed end-to-end, no internal errors")

@@ -1,16 +1,43 @@
 """CLI behavior and the exit-code contract."""
 
 import json
+import shutil
 
 import pytest
 
 from a4l_analytics.cli import main
 from a4l_analytics.orchestrator import CycleLock, run_cycle
-from conftest import sami_payload
+from conftest import DOMAIN_FILES, build_root, sami_payload
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _constant_sob_score(root):
+    """Make one sami dependent constant within both groups, then sync."""
+    store = root / "store" / "sami_fall24_usage.csv"
+    text = store.read_text(encoding="utf-8")
+    header, rows = text.split("\n", 1)
+    const_idx = header.split(",").index("sob_score")
+    fixed_rows = []
+    for line in rows.strip().split("\n"):
+        parts = line.split(",")
+        parts[const_idx] = "3.00"
+        fixed_rows.append(",".join(parts))
+    store.write_text(header + "\n" + "\n".join(fixed_rows) + "\n", encoding="utf-8")
+    run_cycle(root)
+
+
+def _documents(results_root):
+    """Every result document below ``results_root``, keyed by path, with
+    the per-run fields dropped."""
+    docs = {}
+    for path in sorted(results_root.rglob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["run_id"], doc["generated_at"]
+        docs[path.relative_to(results_root).as_posix()] = doc
+    return docs
 
 
 class TestValidate:
@@ -63,19 +90,7 @@ class TestRun:
         assert (synced_root / "results" / "jw" / "jw_fall23_ttest.json").is_file()
 
     def test_partial_exits_4_but_writes(self, synced_root, capsys, tmp_path):
-        # append rows making one dependent constant within both groups
-        store = synced_root / "store" / "sami_fall24_usage.csv"
-        text = store.read_text(encoding="utf-8")
-        header, rows = text.split("\n", 1)
-        cols = header.split(",")
-        const_idx = cols.index("sob_score")
-        fixed_rows = []
-        for line in rows.strip().split("\n"):
-            parts = line.split(",")
-            parts[const_idx] = "3.00"
-            fixed_rows.append(",".join(parts))
-        store.write_text(header + "\n" + "\n".join(fixed_rows) + "\n", encoding="utf-8")
-        run_cycle(synced_root)
+        _constant_sob_score(synced_root)
 
         code = run_cli(
             "--root", str(synced_root), "run",
@@ -99,6 +114,105 @@ class TestRun:
         code = run_cli("--root", str(synced_root), "run", str(bad))
         assert code == 3
         assert not (synced_root / "results" / "fresh_bucket").exists()
+
+    def test_writes_the_documents_sync_writes(self, tmp_path):
+        root = build_root(tmp_path / "root", domains=tuple(DOMAIN_FILES))
+        run_cycle(root)
+        synced = _documents(root / "results")
+        assert len(synced) == sum(
+            len(payload_fn()["analyses"]) for *_, payload_fn in DOMAIN_FILES.values()
+        )
+        shutil.rmtree(root / "results")
+        for payload_file in sorted((root / "payloads").glob("*.json")):
+            assert run_cli("--root", str(root), "run", str(payload_file)) == 0
+        assert _documents(root / "results") == synced
+
+    def test_no_temp_dir_and_no_dataset_copy(self, synced_root, no_staging):
+        code = run_cli(
+            "--root", str(synced_root), "run",
+            str(synced_root / "payloads" / "sami_fall24.json"),
+        )
+        assert code == 0
+
+
+class TestUndecodablePayload:
+    @pytest.fixture
+    def bad_payload(self, synced_root):
+        bad = synced_root / "payloads" / "bad.json"
+        bad.write_bytes(b'{"domain": "\xff"}')
+        return bad
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_exits_2(self, synced_root, bad_payload, capsys, command):
+        code = run_cli("--root", str(synced_root), command, str(bad_payload))
+        assert code == 2
+        assert capsys.readouterr().out.startswith("parse error: invalid UTF-8")
+
+    def test_listed_as_unparseable(self, synced_root, bad_payload, capsys):
+        code = run_cli("--root", str(synced_root), "list")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "bad.json -> (unparseable)" in out
+        assert "sami_fall24.json -> sami_fall24_usage" in out
+
+
+class TestRunJson:
+    """The machine-readable contract of ``a4l run --json``."""
+
+    def run_json(self, root, payload_file, capsys):
+        code = run_cli("--root", str(root), "--json", "run", str(payload_file))
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_ok(self, synced_root, capsys):
+        code, out = self.run_json(
+            synced_root, synced_root / "payloads" / "jw_fall23.json", capsys
+        )
+        assert code == 0
+        assert out == {
+            "status": "ok",
+            "results": [
+                "results/jw/jw_fall23_ttest.json",
+                "results/jw/jw_fall23_contingency.json",
+            ],
+        }
+
+    def test_validation_failure_exits_3(self, synced_root, capsys, tmp_path):
+        doc = sami_payload()
+        doc["analyses"][0]["dependent"] = ["ghost_column"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = self.run_json(synced_root, bad, capsys)
+        assert code == 3
+        assert out["ok"] is False
+        assert len(out["diagnostics"]) == 1
+        assert out["diagnostics"][0].startswith("analyses[0].dependent[0]: ")
+        assert "ghost_column" in out["diagnostics"][0]
+        assert set(out) == {"ok", "diagnostics"}
+
+    def test_ragged_dataset_exits_1(self, domain_root, capsys):
+        store = domain_root / "store" / "vera_summer23_usage.csv"
+        store.write_text(
+            store.read_text(encoding="utf-8") + "true,3.1\n", encoding="utf-8"
+        )
+        run_cycle(domain_root)
+        code, out = self.run_json(
+            domain_root, domain_root / "payloads" / "vera_summer23.json", capsys
+        )
+        assert code == 1
+        assert list(out) == ["error"]
+        assert "ragged row" in out["error"]
+
+    def test_partial_exits_4(self, synced_root, capsys):
+        _constant_sob_score(synced_root)
+        code, out = self.run_json(
+            synced_root, synced_root / "payloads" / "sami_fall24.json", capsys
+        )
+        assert code == 4
+        assert out["status"] == "partial"
+        assert out["results"] == [
+            f"results/sami/{request['result_file']}.json"
+            for request in sami_payload()["analyses"]
+        ]
 
 
 class TestBrokenWarehouseDataset:

@@ -1,14 +1,15 @@
-"""CSV loading, kind inference, warehouse and staging."""
+"""CSV loading, kind inference, the warehouse and run resolution."""
 
 import hashlib
 import json
+import os
 
 import pytest
 
 from a4l_analytics.dataset import (
     DatasetCache,
-    StagedRun,
     Warehouse,
+    atomic_write,
     fetch_to_staging,
     load_csv,
     sha256_file,
@@ -184,11 +185,6 @@ class TestWarehouse:
         with pytest.raises(DatasetError, match="ragged"):
             catalog["broken"]
 
-    def test_load_unknown_dataset(self, tmp_path):
-        wh = self._prime(tmp_path, "d", "a\n1\n")
-        with pytest.raises(UnknownDatasetError):
-            wh.load("other")
-
 
 class TestStaging:
     def _warehouse(self, tmp_path):
@@ -206,35 +202,22 @@ class TestStaging:
         wh.write_manifest(entries)
         return wh
 
-    def test_copy_fidelity(self, tmp_path):
+    def test_resolves_to_warehouse_files(self, tmp_path):
         wh = self._warehouse(tmp_path)
-        with fetch_to_staging(["one"], wh) as run:
-            assert sha256_file(run.staged["one"]) == wh.manifest()["one"]["sha256"]
+        run = fetch_to_staging(["one", "two"], wh)
+        assert run.staged == {"one": wh.dataset_path("one"), "two": wh.dataset_path("two")}
+        manifest = wh.manifest()
+        for name, path in run.staged.items():
+            assert run.versions[name] == manifest[name]["sha256"] == sha256_file(path)
 
     def test_empty_request(self, tmp_path):
         wh = self._warehouse(tmp_path)
-        with fetch_to_staging([], wh) as run:
-            assert run.staged == {}
-
-    def test_two_datasets_one_run_directory(self, tmp_path):
-        wh = self._warehouse(tmp_path)
-        with fetch_to_staging(["one", "two"], wh) as run:
-            paths = list(run.staged.values())
-            assert len(paths) == 2
-            assert paths[0] != paths[1]
-            assert paths[0].parent == paths[1].parent == run.root
+        assert fetch_to_staging([], wh).staged == {}
 
     def test_unknown_name_is_internal_error(self, tmp_path):
         wh = self._warehouse(tmp_path)
         with pytest.raises(UnknownDatasetError):
             fetch_to_staging(["ghost"], wh)
-
-    def test_staging_removed_after_run(self, tmp_path):
-        wh = self._warehouse(tmp_path)
-        with fetch_to_staging(["one"], wh) as run:
-            root = run.root
-            assert root.is_dir()
-        assert not root.exists()
 
     def test_missing_count_preserved(self, tmp_path):
         wh = Warehouse(tmp_path)
@@ -253,9 +236,9 @@ class TestStaging:
         )
         before = load_csv(target, name="gaps")
         missing_before = sum(1 for c in before.column("x").cells if c is None)
-        with fetch_to_staging(["gaps"], wh) as run:
-            after = load_csv(run.staged["gaps"], name="gaps")
-            missing_after = sum(1 for c in after.column("x").cells if c is None)
+        run = fetch_to_staging(["gaps"], wh)
+        after = load_csv(run.staged["gaps"], name="gaps")
+        missing_after = sum(1 for c in after.column("x").cells if c is None)
         assert missing_before == missing_after == 2
 
 
@@ -268,3 +251,16 @@ class TestManifestAtomicity:
         assert list(data) == ["b"]
         leftovers = list(wh.dir.glob(".manifest-*"))
         assert leftovers == []
+
+    def test_failed_replace_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "doc.json"
+        target.write_bytes(b"old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write(target, b"new\n")
+        assert target.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]

@@ -5,8 +5,8 @@ import json
 import os
 import subprocess
 import sys
-
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +103,48 @@ class TestSyncWarehouse:
         assert archived.read_bytes() == old_bytes
         assert sha256_file(archived) == old_sha
 
+    def test_old_file_stays_whole_until_the_new_one_replaces_it(
+        self, domain_root, monkeypatch
+    ):
+        wh = Warehouse(domain_root)
+        target = wh.dataset_path("jw_fall23_usage")
+        archive_dir = wh.archive_dir / "jw_fall23_usage"
+        seen = []
+        real_replace = os.replace
+
+        def checking_replace(src, dst):
+            if Path(dst) == target:
+                seen.append(
+                    (
+                        target.read_bytes(),
+                        [p.read_bytes() for p in archive_dir.glob("*.csv")],
+                        Path(src).parent,
+                        Path(src).read_bytes(),
+                    )
+                )
+            real_replace(src, dst)
+
+        lock = self._locked(domain_root)
+        try:
+            sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            old_bytes = target.read_bytes()
+            store_file = domain_root / "store" / "jw_fall23_usage.csv"
+            store_file.write_bytes(store_file.read_bytes() + b"true,91.00,<25\n")
+            monkeypatch.setattr(os, "replace", checking_replace)
+            (record,) = sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+        finally:
+            lock.release()
+        new_bytes = store_file.read_bytes()
+        assert seen == [(old_bytes, [old_bytes], wh.dir, new_bytes)]
+        assert target.read_bytes() == new_bytes
+        assert (domain_root / record.archived_to).read_bytes() == old_bytes
+        assert sorted(p.name for p in wh.dir.iterdir()) == [
+            "jw_fall23_usage.csv",
+            "manifest.json",
+            "sami_fall24_usage.csv",
+            "vera_summer23_usage.csv",
+        ]
+
 
 class TestSelection:
     def test_exact_selection(self, synced_root):
@@ -110,7 +152,8 @@ class TestSelection:
             type("U", (), {"dataset": "sami_fall24_usage"})(),
         ]
         selected, broken = select_affected_payloads(updates, synced_root / "payloads")
-        assert [p.name for p in selected] == ["sami_fall24.json"]
+        assert list(selected) == ["sami_fall24.json"]
+        assert selected["sami_fall24.json"].datasets() == {"sami_fall24_usage"}
         assert broken == []
 
     def test_shared_dataset_selects_both(self, synced_root):
@@ -133,11 +176,11 @@ class TestSelection:
         )
         updates = [type("U", (), {"dataset": "sami_fall24_usage"})()]
         selected, _ = select_affected_payloads(updates, synced_root / "payloads")
-        assert [p.name for p in selected] == ["meta.json", "sami_fall24.json"]
+        assert list(selected) == ["meta.json", "sami_fall24.json"]
 
     def test_no_updates_selects_nothing(self, synced_root):
         selected, _ = select_affected_payloads([], synced_root / "payloads")
-        assert selected == []
+        assert selected == {}
 
     def test_unparseable_payload_reported_not_fatal(self, synced_root):
         (synced_root / "payloads" / "broken.json").write_text(
@@ -146,7 +189,7 @@ class TestSelection:
         updates = [type("U", (), {"dataset": "sami_fall24_usage"})()]
         selected, broken = select_affected_payloads(updates, synced_root / "payloads")
         assert broken == ["broken.json"]
-        assert [p.name for p in selected] == ["sami_fall24.json"]
+        assert list(selected) == ["sami_fall24.json"]
 
 
 class TestCycleLock:
@@ -293,6 +336,42 @@ class TestRunCycle:
         assert report.updated == []
         assert report.selected_payloads == []
 
+    def test_failed_report_write_leaves_no_partial_report(self, domain_root, monkeypatch):
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).parent.name == "runs":
+                raise OSError("disk gone")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            run_cycle(domain_root)
+        assert list((domain_root / "runs").iterdir()) == []
+
+    def test_no_temp_dir_and_no_dataset_copy(self, domain_root, no_staging):
+        report = run_cycle(domain_root)
+        assert len(report.selected_payloads) == 3
+        assert report.all_ok()
+
+    def test_undecodable_payload_fails_only_itself(self, domain_root):
+        (domain_root / "payloads" / "bad.json").write_bytes(b'{"domain": "\xff"}')
+        report = run_cycle(domain_root)
+        by_file = {o.payload_file: o for o in report.run_outcomes}
+        assert by_file["bad.json"].status == "parse_failed"
+        assert report.selected_payloads == [
+            "jw_fall23.json",
+            "sami_fall24.json",
+            "vera_summer23.json",
+        ]
+        assert all(by_file[name].status == "ok" for name in report.selected_payloads)
+        (stored,) = (domain_root / "runs").glob("*.json")
+        statuses = {
+            o["payload_file"]: o["status"]
+            for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+        }
+        assert statuses["bad.json"] == "parse_failed"
+
     def test_xyz_domain_via_payload_only(self, synced_root):
         add_domain(synced_root, "xyz")
         report = run_cycle(synced_root)
@@ -401,10 +480,10 @@ class TestParseOnce:
             alive[name] = weakref.ref(ds)
             return ds
 
-        def recording_run(path, warehouse, cache):
+        def recording_run(name, payload, warehouse, cache):
             live = sorted(n for n, ref in alive.items() if ref() is not None)
-            seen.append((path.name, live))
-            return original_run(path, warehouse, cache)
+            seen.append((name, live))
+            return original_run(name, payload, warehouse, cache)
 
         monkeypatch.setattr(orchestrator.DatasetCache, "get", tracking_get)
         monkeypatch.setattr(orchestrator, "run_payload_file", recording_run)

@@ -113,6 +113,11 @@ class TestParse:
         assert exc_info.value.line == 3
         assert exc_info.value.column is not None
 
+    def test_invalid_utf8_is_a_parse_error(self):
+        with pytest.raises(PayloadParseError, match="invalid UTF-8") as exc_info:
+            parse_payload(b'{\n  "domain": "\xff"}')
+        assert (exc_info.value.line, exc_info.value.column) == (2, 14)
+
     def test_missing_field_names_path(self):
         doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
         del doc["analyses"][0]["statistic"]

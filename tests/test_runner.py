@@ -127,8 +127,8 @@ class TestExecutePayload:
     def test_jw_single_welch_result(self, domain_root):
         wh = _staged_root(domain_root)
         payload = parse_payload(json.dumps(jw_payload()))
-        with fetch_to_staging(sorted(payload.datasets()), wh) as staged:
-            docs = execute_payload(payload, staged)
+        staged = fetch_to_staging(sorted(payload.datasets()), wh)
+        docs = execute_payload(payload, staged)
         assert len(docs) == 2  # welch + contingency
         welch_doc = docs[0]
         assert welch_doc.statistic == "get_welch_ttest"
@@ -140,8 +140,8 @@ class TestExecutePayload:
     def test_sami_power_has_four_results(self, domain_root):
         wh = _staged_root(domain_root)
         payload = parse_payload(json.dumps(sami_payload()))
-        with fetch_to_staging(sorted(payload.datasets()), wh) as staged:
-            docs = execute_payload(payload, staged)
+        staged = fetch_to_staging(sorted(payload.datasets()), wh)
+        docs = execute_payload(payload, staged)
         power_doc = next(d for d in docs if d.statistic == "get_welch_power")
         assert len(power_doc.results) == 4
         assert all(r["kind"] == "welch_power" for r in power_doc.results)
@@ -149,9 +149,9 @@ class TestExecutePayload:
     def test_provenance_hash_matches_staged_bytes(self, domain_root):
         wh = _staged_root(domain_root)
         payload = parse_payload(json.dumps(jw_payload()))
-        with fetch_to_staging(sorted(payload.datasets()), wh) as staged:
-            docs = execute_payload(payload, staged)
-            staged_hash = sha256_file(staged.staged["jw_fall23_usage"])
+        staged = fetch_to_staging(sorted(payload.datasets()), wh)
+        docs = execute_payload(payload, staged)
+        staged_hash = sha256_file(staged.staged["jw_fall23_usage"])
         assert docs[0].dataset_sha256 == staged_hash
         assert docs[0].dataset_sha256 == wh.manifest()["jw_fall23_usage"]["sha256"]
 
@@ -184,8 +184,8 @@ class TestExecutePayload:
                 }
             )
         )
-        with fetch_to_staging(["flat"], wh) as staged:
-            (doc,) = execute_payload(payload, staged)
+        staged = fetch_to_staging(["flat"], wh)
+        (doc,) = execute_payload(payload, staged)
         assert doc.results[0]["error"]["kind"] == "degenerate_data"
         assert doc.results[1]["kind"] == "welch_ttest"
         assert doc.has_errors()
@@ -195,8 +195,8 @@ class TestExecutePayload:
         payload = parse_payload(json.dumps(sami_payload()))
 
         def run_once():
-            with fetch_to_staging(sorted(payload.datasets()), wh) as staged:
-                docs = execute_payload(payload, staged)
+            staged = fetch_to_staging(sorted(payload.datasets()), wh)
+            docs = execute_payload(payload, staged)
             out = [d.to_dict() for d in docs]
             for d in out:
                 d.pop("run_id")

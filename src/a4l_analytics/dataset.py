@@ -12,7 +12,6 @@ import io
 import json
 import math
 import os
-import tempfile
 import uuid
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -83,10 +82,10 @@ def atomic_write(target: Path, data: bytes) -> None:
     The bytes go to a temp file beside the target, which then replaces
     it, so a reader sees the old file or the new one, never a part. On
     any failure the temp file is removed and the target is untouched.
+    The file is created with mode 0666 less the umask, as ``open`` would.
     """
-    fd, tmp = tempfile.mkstemp(
-        dir=target.parent, prefix=f".{target.stem}-", suffix=".tmp"
-    )
+    tmp = target.with_name(f".{target.stem}-{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

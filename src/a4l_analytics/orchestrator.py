@@ -272,10 +272,7 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
     abort the remaining payloads.
     """
     root = Path(root)
-    lock = CycleLock(root / ".a4l.lock")
-    if not lock.acquire():
-        raise LockHeldError(f"another cycle holds {lock.path}")
-    try:
+    with CycleLock(root / ".a4l.lock") as lock:
         report = SyncReport(scanned_at=utc_now_rfc3339())
         warehouse = Warehouse(root)
         scan = scan_store(root / "store")
@@ -303,8 +300,6 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
         text = json.dumps(report.to_dict(), indent=2) + "\n"
         atomic_write(runs_dir / f"{report.scanned_at}.json", text.encode("utf-8"))
         return report
-    finally:
-        lock.release()
 
 
 def watch(root: Union[str, Path], interval_seconds: float, cycles: Optional[int] = None):

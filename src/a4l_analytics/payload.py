@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .errors import PayloadError, PayloadParseError
+from .runner import GROUPING_KINDS, STATISTICS
 
 DOMAIN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 RESULT_FILE_RE = re.compile(r"^[a-z0-9_]+$")
@@ -24,33 +25,10 @@ RESULT_FILE_RE = re.compile(r"^[a-z0-9_]+$")
 DEFAULT_ALPHA = 0.05
 
 
-class StatisticName(str, Enum):
-    """The closed set of statistics a payload may request."""
-
-    WELCH_TTEST = "get_welch_ttest"
-    WELCH_POWER = "get_welch_power"
-    MANN_WHITNEY_U = "get_mann_whitney_u"
-    CONTINGENCY_TABLE = "get_contingency_table"
-    DESCRIPTIVES = "get_descriptives"
-
-
 class Alternative(str, Enum):
     TWO_SIDED = "two_sided"
     LESS = "less"
     GREATER = "greater"
-
-
-REGISTERED_STATISTICS: Set[str] = {s.value for s in StatisticName}
-
-# Column-kind requirements per statistic: (independent kinds, dependent kinds).
-_GROUPING_KINDS = ("boolean", "categorical")
-STATISTIC_COLUMN_KINDS = {
-    StatisticName.WELCH_TTEST: (_GROUPING_KINDS, ("numeric",)),
-    StatisticName.WELCH_POWER: (_GROUPING_KINDS, ("numeric",)),
-    StatisticName.MANN_WHITNEY_U: (_GROUPING_KINDS, ("numeric",)),
-    StatisticName.DESCRIPTIVES: (_GROUPING_KINDS, ("numeric",)),
-    StatisticName.CONTINGENCY_TABLE: (_GROUPING_KINDS, _GROUPING_KINDS),
-}
 
 
 @dataclass(frozen=True)
@@ -65,7 +43,7 @@ class OutputSpec:
 class AnalysisRequest:
     """One statistic applied to one dataset."""
 
-    statistic: StatisticName
+    statistic: str
     dataset: str
     independent: str
     dependent: Tuple[str, ...]
@@ -170,15 +148,6 @@ def _parse_request(obj, path, problems) -> Optional[AnalysisRequest]:
     alpha = r.optional("alpha", (int, float), "a number", DEFAULT_ALPHA)
     r.reject_unknown()
 
-    stat_value = None
-    if statistic is not None:
-        try:
-            stat_value = StatisticName(statistic)
-        except ValueError:
-            # Unknown statistic names are a validation concern (they get
-            # a nearest-match suggestion there); carry the raw string.
-            stat_value = statistic
-
     alt_value = None
     if alternative is not None:
         if isinstance(alternative, Alternative):
@@ -226,7 +195,7 @@ def _parse_request(obj, path, problems) -> Optional[AnalysisRequest]:
     if len(problems) > start:
         return None
     return AnalysisRequest(
-        statistic=stat_value,
+        statistic=statistic,
         dataset=dataset,
         independent=independent,
         dependent=dependent,
@@ -340,9 +309,7 @@ def serialize_payload(payload: AnalysisPayload) -> str:
         "domain": payload.domain,
         "analyses": [
             {
-                "statistic": req.statistic.value
-                if isinstance(req.statistic, StatisticName)
-                else req.statistic,
+                "statistic": req.statistic,
                 "dataset": req.dataset,
                 "independent": req.independent,
                 "dependent": list(req.dependent),
@@ -364,34 +331,27 @@ def _suggest(name: str, candidates: Iterable[str]) -> Optional[str]:
 
 def validate_payload(
     payload: AnalysisPayload,
-    registry: Optional[Set[str]] = None,
     catalog: Optional[Mapping[str, Mapping[str, str]]] = None,
 ) -> ValidationReport:
-    """Check every request against the statistic registry and warehouse.
+    """Check every request against the statistic table and warehouse.
 
     ``catalog`` maps dataset name -> {column name -> kind} for every
     dataset in the warehouse. A payload that validates ok references
     only existing datasets, existing columns of workable kinds and
     registered statistics, so execution cannot hit an unknown name.
     """
-    registry = REGISTERED_STATISTICS if registry is None else registry
     catalog = {} if catalog is None else catalog
     diagnostics: List[Diagnostic] = []
 
     for i, req in enumerate(payload.analyses):
         path = f"analyses[{i}]"
-        stat_name = (
-            req.statistic.value
-            if isinstance(req.statistic, StatisticName)
-            else req.statistic
-        )
-        if stat_name not in registry:
+        if req.statistic not in STATISTICS:
             diagnostics.append(
                 Diagnostic(
                     path=f"{path}.statistic",
                     message="unknown statistic",
-                    value=stat_name,
-                    suggestion=_suggest(stat_name, registry),
+                    value=req.statistic,
+                    suggestion=_suggest(req.statistic, STATISTICS),
                 )
             )
             continue
@@ -408,7 +368,7 @@ def validate_payload(
             continue
 
         columns = catalog[req.dataset]
-        indep_kinds, dep_kinds = STATISTIC_COLUMN_KINDS[StatisticName(stat_name)]
+        dep_kinds = STATISTICS[req.statistic].dependent_kinds
 
         if req.independent not in columns:
             diagnostics.append(
@@ -419,13 +379,13 @@ def validate_payload(
                     suggestion=_suggest(req.independent, columns.keys()),
                 )
             )
-        elif columns[req.independent] not in indep_kinds:
+        elif columns[req.independent] not in GROUPING_KINDS:
             diagnostics.append(
                 Diagnostic(
                     path=f"{path}.independent",
                     message=(
                         f"column is {columns[req.independent]}, "
-                        f"{stat_name} needs one of {', '.join(indep_kinds)}"
+                        f"{req.statistic} needs one of {', '.join(GROUPING_KINDS)}"
                     ),
                     value=req.independent,
                 )
@@ -447,7 +407,7 @@ def validate_payload(
                         path=f"{path}.dependent[{j}]",
                         message=(
                             f"column is {columns[dep]}, "
-                            f"{stat_name} needs one of {', '.join(dep_kinds)}"
+                            f"{req.statistic} needs one of {', '.join(dep_kinds)}"
                         ),
                         value=dep,
                     )

@@ -9,10 +9,10 @@ payload and the dataset bytes, apart from run_id and generated_at.
 
 import json
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from .dataset import (  # noqa: F401  load_csv: looked up here by callers
     KIND_BOOLEAN,
@@ -25,7 +25,6 @@ from .dataset import (  # noqa: F401  load_csv: looked up here by callers
     load_csv,
 )
 from .errors import GroupSplitError, StatError
-from .payload import AnalysisPayload, AnalysisRequest, OutputSpec, StatisticName
 from .stats import (
     contingency,
     descriptives,
@@ -35,7 +34,13 @@ from .stats import (
 )
 from .stats.summaries import DescriptivesResult
 
+if TYPE_CHECKING:
+    from .payload import AnalysisPayload, AnalysisRequest, OutputSpec
+
 RESULT_SCHEMA_VERSION = 1
+
+# The kinds an independent column may have, for every statistic.
+GROUPING_KINDS = (KIND_BOOLEAN, KIND_CATEGORICAL)
 
 
 def utc_now_rfc3339() -> str:
@@ -127,7 +132,7 @@ def group_index(ds: TabularDataset, independent: str) -> GroupIndex:
     "true"); rows missing the independent value belong to neither group.
     """
     col = ds.column(independent)
-    if col.kind not in (KIND_BOOLEAN, KIND_CATEGORICAL):
+    if col.kind not in GROUPING_KINDS:
         raise GroupSplitError(
             f"independent column {independent!r} is {col.kind}, needs boolean or categorical"
         )
@@ -181,52 +186,87 @@ def split_groups(
     )
 
 
-def _run_grouped(
-    req: AnalysisRequest, ds: TabularDataset, dep: str, index: Optional[GroupIndex]
-) -> dict:
-    split = split_groups(ds, req.independent, dep, index)
-    statistic = req.statistic
-    if statistic == StatisticName.WELCH_TTEST:
-        result = welch_ttest(
-            split.sample1,
-            split.sample2,
-            alternative=req.alternative.value,
-            alpha=req.alpha,
-            dependent=dep,
-            labels=split.labels,
-        )
-    elif statistic == StatisticName.WELCH_POWER:
-        g1 = descriptives(split.sample1, label=split.labels[0])
-        g2 = descriptives(split.sample2, label=split.labels[1])
-        result = welch_power(
-            g1, g2, alpha=req.alpha, alternative=req.alternative.value, dependent=dep
-        )
-    elif statistic == StatisticName.MANN_WHITNEY_U:
-        result = mann_whitney_u(
-            split.sample1, split.sample2, alternative=req.alternative.value, dependent=dep
-        )
-    else:  # descriptives
-        result = DescriptivesResult(
-            dependent=dep,
-            group1=descriptives(split.sample1, label=split.labels[0]),
-            group2=descriptives(split.sample2, label=split.labels[1]),
-        )
-    return result.to_dict()
+def _welch_ttest(req: "AnalysisRequest", split: GroupSplit, dep: str):
+    return welch_ttest(
+        split.sample1,
+        split.sample2,
+        alternative=req.alternative.value,
+        alpha=req.alpha,
+        dependent=dep,
+        labels=split.labels,
+    )
+
+
+def _welch_power(req: "AnalysisRequest", split: GroupSplit, dep: str):
+    g1 = descriptives(split.sample1, label=split.labels[0])
+    g2 = descriptives(split.sample2, label=split.labels[1])
+    return welch_power(
+        g1, g2, alpha=req.alpha, alternative=req.alternative.value, dependent=dep
+    )
+
+
+def _mann_whitney_u(req: "AnalysisRequest", split: GroupSplit, dep: str):
+    return mann_whitney_u(
+        split.sample1, split.sample2, alternative=req.alternative.value, dependent=dep
+    )
+
+
+def _descriptives(req: "AnalysisRequest", split: GroupSplit, dep: str):
+    return DescriptivesResult(
+        dependent=dep,
+        group1=descriptives(split.sample1, label=split.labels[0]),
+        group2=descriptives(split.sample2, label=split.labels[1]),
+    )
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """One statistic a payload may request.
+
+    Every statistic takes an independent column of a GROUPING_KINDS
+    kind; ``dependent_kinds`` are the kinds each dependent column may
+    have. ``compute`` returns the result object for one dependent from
+    its two-group split. It is None for the contingency table, which
+    cross-tabulates the two columns instead of splitting into groups.
+    """
+
+    dependent_kinds: Tuple[str, ...]
+    compute: Optional[Callable[["AnalysisRequest", GroupSplit, str], object]]
+
+
+# The closed set of statistics, by payload name. Validation and
+# execution both read this table; docs/payload_schema.json and
+# docs/result_schema.json list the same names.
+STATISTICS: Dict[str, Statistic] = {
+    "get_welch_ttest": Statistic((KIND_NUMERIC,), _welch_ttest),
+    "get_welch_power": Statistic((KIND_NUMERIC,), _welch_power),
+    "get_mann_whitney_u": Statistic((KIND_NUMERIC,), _mann_whitney_u),
+    "get_contingency_table": Statistic(GROUPING_KINDS, None),
+    "get_descriptives": Statistic((KIND_NUMERIC,), _descriptives),
+}
 
 
 def _execute_request(
-    payload: AnalysisPayload,
-    req: AnalysisRequest,
+    payload: "AnalysisPayload",
+    req: "AnalysisRequest",
     ds: TabularDataset,
     run_id: str,
     generated_at: str,
 ) -> ResultDocument:
+    compute = STATISTICS[req.statistic].compute
     ordering: Optional[Dict[str, str]] = None
-    index: Optional[GroupIndex] = None
-    if req.statistic == StatisticName.CONTINGENCY_TABLE:
+    if compute is None:
         row = ds.column(req.independent)
         row_cells = row.rendered()
+
+        def result_for(dep: str):
+            col = ds.column(dep)
+            return contingency(
+                row.name, row.kind, row_cells, col.name, col.kind, col.rendered()
+            )
+
     else:
+        index: Optional[GroupIndex] = None
         try:
             index = group_index(ds, req.independent)
             ordering = index.ordering()
@@ -234,17 +274,13 @@ def _execute_request(
             # split_groups raises the same error again for every dependent
             pass
 
+        def result_for(dep: str):
+            return compute(req, split_groups(ds, req.independent, dep, index), dep)
+
     entries: List[dict] = []
     for dep in req.dependent:
         try:
-            if req.statistic == StatisticName.CONTINGENCY_TABLE:
-                col = ds.column(dep)
-                table = contingency(
-                    row.name, row.kind, row_cells, col.name, col.kind, col.rendered()
-                )
-                entries.append(table.to_dict())
-            else:
-                entries.append(_run_grouped(req, ds, dep, index))
+            entries.append(result_for(dep).to_dict())
         except StatError as exc:
             entries.append(
                 {"dependent": dep, "error": {"kind": exc.kind, "message": str(exc)}}
@@ -252,7 +288,7 @@ def _execute_request(
 
     return ResultDocument(
         domain=payload.domain,
-        statistic=req.statistic.value,
+        statistic=req.statistic,
         dataset_name=ds.name,
         dataset_sha256=ds.version,
         independent=req.independent,
@@ -267,7 +303,7 @@ def _execute_request(
 
 
 def execute_payload(
-    payload: AnalysisPayload, staged: StagedRun, cache: Optional[DatasetCache] = None
+    payload: "AnalysisPayload", staged: StagedRun, cache: Optional[DatasetCache] = None
 ) -> List[ResultDocument]:
     """Run every request of a validated payload, in payload order.
 
@@ -287,7 +323,7 @@ def execute_payload(
 
 
 def write_result(
-    doc: ResultDocument, out: OutputSpec, results_root: Union[str, Path]
+    doc: ResultDocument, out: "OutputSpec", results_root: Union[str, Path]
 ) -> StoredResultKey:
     """Atomically write one result document below the results root."""
     key = StoredResultKey(

@@ -177,6 +177,47 @@ def mwu_permutation_p(g1, g2, alternative, n_perm, seed, batch=100_000):
     return min(1.0, 2.0 * min(p_less, p_greater))
 
 
+def mwu_exact_tied_p(g1, g2, alternative):
+    """Exact p-value of the midrank U, conditional on the ties.
+
+    Every C(n1+n2, n1) assignment of the pooled values to group1 is
+    equally likely. Doubled midranks are integers, so the distribution of
+    group1's doubled rank sum is a DP over tie groups: taking j of a
+    group's t tied values adds j times its doubled midrank, in C(t, j)
+    ways (Streitberg & Röhmel 1986). Two-sided p is defined as in
+    ``mwu_permutation_p``.
+    """
+    n1 = len(g1)
+    pooled = sorted(list(g1) + list(g2))
+    n = len(pooled)
+    top = n * (n + 1)  # doubled rank sum of all n values
+    # ways[k, s]: subsets of the tie groups seen so far with k values
+    # and doubled rank sum s
+    ways = np.zeros((n1 + 1, top + 1))
+    ways[0, 0] = 1.0
+    doubled_rank = {}
+    first = 1
+    for value, tied in itertools.groupby(pooled):
+        t = len(list(tied))
+        rank2 = 2 * first + t - 1
+        doubled_rank[value] = rank2
+        first += t
+        grown = np.zeros_like(ways)
+        for j in range(min(t, n1) + 1):
+            shift = j * rank2
+            grown[j:, shift:] += math.comb(t, j) * ways[: n1 + 1 - j, : top + 1 - shift]
+        ways = grown
+    counts = ways[n1] / math.comb(n, n1)
+    observed = sum(doubled_rank[v] for v in g1)
+    p_less = float(counts[: observed + 1].sum())
+    p_greater = float(counts[observed:].sum())
+    if alternative == "less":
+        return p_less
+    if alternative == "greater":
+        return p_greater
+    return min(1.0, 2.0 * min(p_less, p_greater))
+
+
 def betainc_closed_form_2_3(x: float) -> float:
     """I_x(2, 3) from the closed-form polynomial 12 (x^2/2 - 2x^3/3 + x^4/4)."""
     return 12.0 * (x**2 / 2.0 - 2.0 * x**3 / 3.0 + x**4 / 4.0)

@@ -4,13 +4,15 @@ Mirrors docs/result_schema.json closely enough for the acceptance suite
 without pulling in a JSON Schema engine.
 """
 
-STATISTICS = {
-    "get_welch_ttest",
-    "get_welch_power",
-    "get_mann_whitney_u",
-    "get_contingency_table",
-    "get_descriptives",
-}
+import json
+from pathlib import Path
+
+RESULT_SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "docs" / "result_schema.json").read_text()
+)
+# Read from the schema, not from the package's statistic table, so the
+# check stays independent of the code it checks.
+STATISTICS = set(RESULT_SCHEMA["properties"]["statistic"]["enum"])
 ALTERNATIVES = {"two_sided", "less", "greater"}
 ERROR_KINDS = {
     "argument_error",

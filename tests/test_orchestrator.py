@@ -277,6 +277,22 @@ class TestRunCycle:
         assert stored["scanned_at"] == report.scanned_at
         assert len(stored["updated"]) == 3
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_follow_the_umask(self, domain_root, umask, mode):
+        previous = os.umask(umask)
+        try:
+            report = run_cycle(domain_root)
+        finally:
+            os.umask(previous)
+        written = {
+            "result": domain_root / "results" / report.run_outcomes[0].result_keys[0],
+            "manifest": domain_root / "warehouse" / "manifest.json",
+            "report": next((domain_root / "runs").glob("*.json")),
+            "warehouse csv": next((domain_root / "warehouse").glob("*.csv")),
+        }
+        modes = {kind: path.stat().st_mode & 0o777 for kind, path in written.items()}
+        assert modes == dict.fromkeys(written, mode)
+
     def test_lock_contention_no_side_effects(self, domain_root):
         lock = CycleLock(domain_root / ".a4l.lock")
         assert lock.acquire()

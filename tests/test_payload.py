@@ -1,17 +1,20 @@
 """Payload parsing, serialization, defaults and validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from a4l_analytics.errors import PayloadError, PayloadParseError
 from a4l_analytics.payload import (
     Alternative,
-    StatisticName,
     parse_payload,
     serialize_payload,
     validate_payload,
 )
+from a4l_analytics.runner import STATISTICS
+
+DOCS = Path(__file__).parent.parent / "docs"
 
 SAMI_POWER_PAYLOAD = {
     "payload_version": 1,
@@ -58,7 +61,7 @@ class TestParse:
         assert payload.domain == "sami"
         assert len(payload.analyses) == 1
         req = payload.analyses[0]
-        assert req.statistic == StatisticName.WELCH_POWER
+        assert req.statistic == "get_welch_power"
         assert req.dataset == "sami_fall24_usage"
         assert req.independent == "used_sami"
         assert req.dependent == (
@@ -277,3 +280,46 @@ class TestValidate:
         report = validate_payload(payload, catalog=CATALOG)
         assert len(report.diagnostics) == 2
         assert all(d.path.startswith("analyses[0]") for d in report.diagnostics)
+
+
+NUMERIC_DEPENDENT = ("get_welch_ttest", "get_welch_power", "get_mann_whitney_u", "get_descriptives")
+
+
+def _kind_report(statistic, independent, dependent):
+    doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
+    doc["analyses"][0].update(
+        statistic=statistic, independent=independent, dependent=[dependent]
+    )
+    return validate_payload(parse_payload(_dump(doc)), catalog=CATALOG).render()
+
+
+@pytest.mark.parametrize("statistic", NUMERIC_DEPENDENT + ("get_contingency_table",))
+def test_wrong_kind_independent_diagnostic(statistic):
+    dependent = "age_group" if statistic == "get_contingency_table" else "sob_score"
+    assert _kind_report(statistic, "distinct_impressions", dependent) == (
+        f"analyses[0].independent: column is numeric, {statistic} needs one of "
+        "boolean, categorical (got 'distinct_impressions')"
+    )
+
+
+@pytest.mark.parametrize("statistic", NUMERIC_DEPENDENT)
+def test_wrong_kind_dependent_diagnostic_numeric(statistic):
+    assert _kind_report(statistic, "used_sami", "age_group") == (
+        f"analyses[0].dependent[0]: column is categorical, {statistic} needs one of "
+        "numeric (got 'age_group')"
+    )
+
+
+def test_wrong_kind_dependent_diagnostic_contingency():
+    assert _kind_report("get_contingency_table", "used_sami", "sob_score") == (
+        "analyses[0].dependent[0]: column is numeric, get_contingency_table needs "
+        "one of boolean, categorical (got 'sob_score')"
+    )
+
+
+def test_schema_enums_list_the_statistic_table():
+    payload_schema = json.loads((DOCS / "payload_schema.json").read_text())
+    result_schema = json.loads((DOCS / "result_schema.json").read_text())
+    request = payload_schema["$defs"]["analysis_request"]
+    assert sorted(request["properties"]["statistic"]["enum"]) == sorted(STATISTICS)
+    assert sorted(result_schema["properties"]["statistic"]["enum"]) == sorted(STATISTICS)

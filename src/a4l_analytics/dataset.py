@@ -16,7 +16,7 @@ import uuid
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DatasetError, ManifestError, UnknownDatasetError
 
@@ -104,30 +104,31 @@ def sha256_file(path: Union[str, Path]) -> str:
     return h.hexdigest()
 
 
-def _infer_kind(values: Iterable[str]) -> str:
-    values = [v for v in values if v != ""]
-    if values and all(_is_finite_number(v) for v in values):
-        return KIND_NUMERIC
-    if values and all(v.lower() in _BOOL_TOKENS for v in values):
-        return KIND_BOOLEAN
-    return KIND_CATEGORICAL
+def _typed_column(name: str, raw: Sequence[str]) -> Column:
+    """One column with its kind inferred and each cell converted once.
 
-
-def _is_finite_number(text: str) -> bool:
+    A column is numeric when every present cell parses as a finite
+    float, else boolean when every present cell is a boolean token,
+    else categorical. The empty string is a missing cell (None) in every
+    kind, and a column with no present cell is categorical.
+    """
+    if not any(raw):
+        return Column(name=name, kind=KIND_CATEGORICAL, cells=(None,) * len(raw))
     try:
-        return math.isfinite(float(text))
+        cells = [float(v) if v else None for v in raw]
     except ValueError:
-        return False
-
-
-def _convert(raw: str, kind: str):
-    if raw == "":
-        return None
-    if kind == KIND_NUMERIC:
-        return float(raw)
-    if kind == KIND_BOOLEAN:
-        return _BOOL_TOKENS[raw.lower()]
-    return raw
+        pass
+    else:
+        # filter(None, ...) drops the missing cells, and zeros, which are finite
+        if all(map(math.isfinite, filter(None, cells))):
+            return Column(name=name, kind=KIND_NUMERIC, cells=tuple(cells))
+    try:
+        cells = [_BOOL_TOKENS[v.lower()] if v else None for v in raw]
+    except KeyError:
+        pass
+    else:
+        return Column(name=name, kind=KIND_BOOLEAN, cells=tuple(cells))
+    return Column(name=name, kind=KIND_CATEGORICAL, cells=tuple(v or None for v in raw))
 
 
 def _read_rows(path: Path, data: bytes) -> Tuple[List[str], List[List[str]]]:
@@ -162,7 +163,10 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
 
     Deterministic: the same bytes always produce the same dataset,
     including inferred column kinds. The file is read once; its version
-    is the SHA-256 of exactly the bytes that were parsed.
+    is the SHA-256 of exactly the bytes that were parsed. The rows are
+    transposed once, and each column's cells are converted once, by the
+    first kind rule (numeric, boolean, categorical) that holds for
+    every present cell.
     """
     path = Path(path)
     dataset_name = name if name is not None else path.stem
@@ -173,18 +177,22 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: unreadable CSV: {exc}") from exc
 
+    row_count = len(rows)
+    # One tuple of raw cells per column (zip yields none for a header-only
+    # file). The rows, and each raw column once typed, are let go at once,
+    # so the raw strings of a numeric column are freed as it converts.
+    raw_columns = list(zip(*rows)) if rows else [()] * len(header)
+    del rows
     columns = []
     for i, col_name in enumerate(header):
-        raw = [row[i] for row in rows]
-        kind = _infer_kind(raw)
-        cells = tuple(_convert(v, kind) for v in raw)
-        columns.append(Column(name=col_name, kind=kind, cells=cells))
+        raw, raw_columns[i] = raw_columns[i], None
+        columns.append(_typed_column(col_name, raw))
 
     return TabularDataset(
         name=dataset_name,
         version=hashlib.sha256(data).hexdigest(),
         columns=tuple(columns),
-        row_count=len(rows),
+        row_count=row_count,
     )
 
 

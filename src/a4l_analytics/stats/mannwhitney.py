@@ -8,8 +8,9 @@ continuity correction of one half. ``alternative="less"`` asserts that
 group1 tends to produce smaller values than group2.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence, Tuple
 
 from ..errors import DegenerateDataError, InsufficientDataError
 from ._backend import kernels
@@ -46,19 +47,29 @@ class MannWhitneyResult:
         }
 
 
-def _midranks(pooled: Sequence[float]) -> List[float]:
-    order = sorted(range(len(pooled)), key=pooled.__getitem__)
-    ranks = [0.0] * len(pooled)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        mid = 0.5 * (i + j) + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
-    return ranks
+def _rank_walk(
+    group1: Sequence[float], pooled: Sequence[float]
+) -> Tuple[float, int, int]:
+    """group1's midrank sum, the tie sum and the number of distinct values.
+
+    One walk over the sorted distinct pooled values: a value held c
+    times, k of them in group1, has midrank below + (c + 1) / 2 and adds
+    c^3 - c to the tie sum. The rank sum is a sum of half-integers, so
+    it is exact below 2^53.
+    """
+    counts = Counter(pooled)
+    in1 = Counter(group1)
+    r1 = 0.0
+    tie_sum = 0
+    below = 0
+    for value in sorted(counts):
+        c = counts[value]
+        k = in1.get(value, 0)
+        if k:
+            r1 += k * (below + (c + 1) / 2)
+        tie_sum += c**3 - c
+        below += c
+    return r1, tie_sum, len(counts)
 
 
 def _exact_p(u1: float, n1: int, n2: int, alternative: str) -> float:
@@ -87,16 +98,14 @@ def mann_whitney_u(
             f"both groups must be non-empty, got n1={n1}, n2={n2}"
         )
 
-    pooled = list(group1) + list(group2)
     n = n1 + n2
-    ranks = _midranks(pooled)
-    r1 = sum(ranks[:n1])
+    r1, tie_sum, distinct = _rank_walk(group1, [*group1, *group2])
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
 
     # Exactness needs the count distribution to be the permutation
     # distribution, which requires all pooled values distinct.
-    if n <= EXACT_SIZE_LIMIT and len(set(pooled)) == n:
+    if n <= EXACT_SIZE_LIMIT and distinct == n:
         p = _exact_p(u1, n1, n2, alternative)
         return MannWhitneyResult(
             dependent=dependent,
@@ -110,12 +119,6 @@ def mann_whitney_u(
             alternative=alternative,
         )
 
-    tie_sum = 0
-    seen: dict = {}
-    for v in pooled:
-        seen[v] = seen.get(v, 0) + 1
-    for count in seen.values():
-        tie_sum += count**3 - count
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
     if variance <= 0.0:
         raise DegenerateDataError("all pooled values are identical, U has no variance")

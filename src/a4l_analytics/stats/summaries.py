@@ -4,6 +4,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..errors import DegenerateDataError
+
 
 @dataclass(frozen=True)
 class GroupSummary:
@@ -39,15 +41,31 @@ def descriptives(values: Sequence[Optional[float]], label: str = "all") -> Group
 
     Missing entries (None) are ignored. With no observations the mean is
     missing; with fewer than two, the standard deviation is missing.
+    Finite values whose sum or sum of squared deviations is beyond the
+    float range raise DegenerateDataError.
     """
     xs = [v for v in values if v is not None]
     n = len(xs)
     if n == 0:
         return GroupSummary(label=label, n=0, mean=None, sd=None)
-    mean = math.fsum(xs) / n
+    try:
+        mean = math.fsum(xs) / n
+    except OverflowError:
+        raise DegenerateDataError(
+            "the sum of the values overflows the float range"
+        ) from None
     if n < 2:
         return GroupSummary(label=label, n=n, mean=mean, sd=None)
-    ss = math.fsum((v - mean) ** 2 for v in xs)
+    try:
+        ss = math.fsum((v - mean) ** 2 for v in xs)
+    except OverflowError:
+        ss = math.inf
+    if math.isinf(ss):
+        raise DegenerateDataError(
+            "the sum of squared deviations from the mean overflows the float range"
+        )
+    # sd is at most the rounded sqrt of the largest float, whose square
+    # is finite, so the variance property cannot overflow either
     sd = math.sqrt(ss / (n - 1))
     return GroupSummary(label=label, n=n, mean=mean, sd=sd)
 

@@ -293,6 +293,16 @@ def add_domain(root: Path, domain: str) -> Path:
     return root
 
 
+def huge_vera_cell(root: Path) -> None:
+    """Put the finite cell 1e200 in vera's nfc_score column: its sum of
+    squared deviations overflows, which the float range cannot hold."""
+    store = root / "store" / "vera_summer23_usage.csv"
+    header, first, rest = store.read_text(encoding="utf-8").split("\n", 2)
+    cells = first.split(",")
+    cells[header.split(",").index("nfc_score")] = "1e200"
+    store.write_text("\n".join([header, ",".join(cells), rest]), encoding="utf-8")
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """Dataset name of every real CSV parse made through dataset.load_csv."""

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the package's own numeric paths:
 expected values come from series expansions, brute-force enumeration,
 quadrature, Monte Carlo simulation, or scipy's independent
-implementations. Frozen constants in the test modules were produced by
+implementations; the reference CSV loader keeps the loader's original
+cell-by-cell kind inference. Frozen constants in the test modules were produced by
 these functions.
 """
 
+import csv
 import itertools
 import math
 
@@ -233,3 +235,57 @@ def scipy_t_cdf(x, df):
 
 def scipy_betainc(a, b, x):
     return float(sp.betainc(a, b, x))
+
+
+_BOOL_TOKENS = {
+    "true": True,
+    "false": False,
+    "1": True,
+    "0": False,
+    "yes": True,
+    "no": False,
+}
+
+
+def _infer_kind(values):
+    values = [v for v in values if v != ""]
+    if values and all(_is_finite_number(v) for v in values):
+        return "numeric"
+    if values and all(v.lower() in _BOOL_TOKENS for v in values):
+        return "boolean"
+    return "categorical"
+
+
+def _is_finite_number(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _convert(raw, kind):
+    if raw == "":
+        return None
+    if kind == "numeric":
+        return float(raw)
+    if kind == "boolean":
+        return _BOOL_TOKENS[raw.lower()]
+    return raw
+
+
+def load_csv_columns(path):
+    """[(name, kind, cells)] of a well-formed CSV file, one column at a time.
+
+    Each column's kind is inferred cell by cell (numeric when every
+    present cell is a finite float, else boolean when every present cell
+    is a boolean token, else categorical; "" is missing), and then each
+    cell is converted for that kind.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    columns = []
+    for i, name in enumerate(header):
+        raw = [row[i] for row in rows]
+        kind = _infer_kind(raw)
+        columns.append((name, kind, tuple(_convert(v, kind) for v in raw)))
+    return columns

@@ -2,7 +2,7 @@
 
 import pytest
 
-from a4l_analytics.errors import ArgumentError
+from a4l_analytics.errors import ArgumentError, DegenerateDataError
 from a4l_analytics.stats import contingency, descriptives
 
 
@@ -85,6 +85,23 @@ class TestDescriptives:
         summary = descriptives([1.0, None, 3.0, None])
         assert summary.n == 2
         assert summary.mean == 2.0
+
+    @pytest.mark.parametrize(
+        "values, cause",
+        [
+            ([1e200, 1.0, 2.0], "sum of squared deviations"),
+            ([1.7e308, -1.7e308, -1.7e308], "sum of squared deviations"),
+            ([1e308, 1e308], "sum of the values"),
+            ([1.7e308, 1.7e308, None], "sum of the values"),
+        ],
+    )
+    def test_overflow_on_finite_input_is_degenerate(self, values, cause):
+        with pytest.raises(DegenerateDataError, match=cause):
+            descriptives(values)
+
+    def test_largest_spread_is_finite(self):
+        summary = descriptives([9e153, -9e153])
+        assert summary.variance == summary.sd * summary.sd < float("inf")
 
     def test_variance_consistent_with_sd(self):
         summary = descriptives([0.3, 9.1, 4.4, 2.2, 7.7])

@@ -1,11 +1,14 @@
 """CSV loading, kind inference, the warehouse and run resolution."""
 
+import csv
 import hashlib
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import oracles
 from a4l_analytics.dataset import (
     DatasetCache,
     Warehouse,
@@ -102,6 +105,57 @@ class TestLoadCsv:
         path.write_bytes(b"a,b\n\xff,1\n")
         with pytest.raises(DatasetError, match="unreadable"):
             load_csv(path)
+
+
+# Cell texts that sit on the edges of the kind rules: missing, non-finite
+# and overflowing floats, boolean tokens that are also numbers, and
+# strings float() accepts with a space, an underscore or a signed zero.
+EDGE_CELLS = (
+    "", "nan", "NaN", "inf", "-inf", "1e400", "TRUE", "yes",
+    "0", "1", " 1", "1_0", "-0", "1.5", "abc",
+)
+
+
+@st.composite
+def edge_tables(draw):
+    """A header and rows whose columns each draw from a few edge cells."""
+    width = draw(st.integers(1, 4))
+    alphabets = [
+        draw(st.lists(st.sampled_from(EDGE_CELLS), min_size=1, max_size=4))
+        for _ in range(width)
+    ]
+    rows = draw(
+        st.lists(st.tuples(*(st.sampled_from(a) for a in alphabets)), max_size=8)
+    )
+    return [f"c{j}" for j in range(width)], rows
+
+
+class TestLoadEquivalence:
+    """load_csv converts each cell once; its columns equal the reference
+    loader's, which infers each kind cell by cell and then converts."""
+
+    @given(table=edge_tables())
+    @example(table=(["a", "b"], []))  # header only: zip(*rows) yields nothing
+    @example(table=(["a"], [("",), ("",)]))
+    @example(table=(["a", "b"], [("1", "yes"), ("0", "1_0"), ("-0", " 1")]))
+    @example(table=(["a"], [("1.5",), ("1e400",)]))
+    @settings(
+        max_examples=400,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_equals_the_reference_loader(self, tmp_path, table):
+        header, rows = table
+        path = tmp_path / "d.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        ds = load_csv(path)
+        got = [(c.name, c.kind, c.cells) for c in ds.columns]
+        # repr tells -0.0 from 0.0 and 1.0 from True, which == does not
+        assert repr(got) == repr(oracles.load_csv_columns(path))
+        assert ds.row_count == len(rows)
 
 
 class TestDatasetCache:

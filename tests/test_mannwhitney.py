@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 from scipy import stats as st
 
 import oracles
 from a4l_analytics.errors import DegenerateDataError, InsufficientDataError
 from a4l_analytics.stats import mann_whitney_u
+from a4l_analytics.stats.mannwhitney import EXACT_SIZE_LIMIT, _rank_walk
 
 
 class TestExactBranch:
@@ -104,6 +107,44 @@ class TestNormalBranch:
         result = mann_whitney_u(g1, g2, alternative="less")
         ref = oracles.mwu_permutation_p(g1, g2, "less", n_perm=200_000, seed=3)
         assert result.p_value == pytest.approx(ref, abs=0.01)
+
+
+# Values rounded to 0 or 1 decimals, both signs of zero among them:
+# pooled samples are tie-heavy, and -0.0 ties with 0.0.
+tied_value = hs.one_of(
+    hs.integers(-3, 3).map(float),
+    hs.integers(-20, 20).map(lambda k: round(k / 10, 1)),
+    hs.sampled_from([-0.0, 0.0]),
+)
+tied_sample = hs.lists(tied_value, min_size=1, max_size=30)
+
+
+class TestRankWalk:
+    @given(g1=tied_sample, g2=tied_sample)
+    @example(g1=[0.0, -0.0], g2=[-0.0])  # all equal
+    @example(g1=[-0.0, 1.0, 2.5], g2=[3.0, -1.0])  # n <= 12, distinct
+    @example(g1=[-0.0, 1.0], g2=[0.0, 2.0])  # n <= 12, tied zeros
+    @settings(max_examples=400, deadline=None)
+    def test_u_and_ties_match_definitions(self, g1, g2):
+        pooled = g1 + g2
+        _, counts = np.unique(np.array(pooled), return_counts=True)
+        _, tie_sum, distinct = _rank_walk(g1, pooled)
+        assert tie_sum == int((counts**3 - counts).sum())
+        assert distinct == len(counts)
+        if len(counts) == 1:
+            with pytest.raises(DegenerateDataError):
+                mann_whitney_u(g1, g2)
+            return
+        result = mann_whitney_u(g1, g2)
+        u1 = oracles.mwu_u1(g1, g2)
+        assert result.u1 == u1
+        assert result.u2 == len(g1) * len(g2) - u1
+        if len(pooled) <= EXACT_SIZE_LIMIT and len(counts) == len(pooled):
+            assert result.method == "exact"
+            assert not result.tie_correction_applied
+        else:
+            assert result.method == "normal_approx"
+            assert result.tie_correction_applied == bool((counts > 1).any())
 
 
 class TestErrors:

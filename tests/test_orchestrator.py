@@ -21,7 +21,7 @@ from a4l_analytics.orchestrator import (
     sync_warehouse,
     watch,
 )
-from conftest import add_domain, build_root, xyz_csv
+from conftest import add_domain, build_root, huge_vera_cell, xyz_csv
 
 
 class TestScanStore:
@@ -528,6 +528,30 @@ class TestBrokenDataset:
             for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
         }
         assert statuses["vera_summer23.json"] == "error"
+
+
+    def test_overflowing_cell_fails_only_its_dependent(self, domain_root):
+        huge_vera_cell(domain_root)
+        report = run_cycle(domain_root)
+        by_file = {o.payload_file: o for o in report.run_outcomes}
+        assert by_file["vera_summer23.json"].status == "partial"
+        assert by_file["jw_fall23.json"].status == "ok"
+        assert by_file["sami_fall24.json"].status == "ok"
+        for name in ("vera_summer23_ttest", "vera_summer23_ttest_power"):
+            doc = json.loads(
+                (domain_root / "results" / "vera" / f"{name}.json").read_text(encoding="utf-8")
+            )
+            errors = {e["dependent"]: e["error"] for e in doc["results"] if "error" in e}
+            assert list(errors) == ["nfc_score"]
+            assert errors["nfc_score"]["kind"] == "degenerate_data"
+            assert "overflows" in errors["nfc_score"]["message"]
+            assert len(doc["results"]) == 4
+        (stored,) = (domain_root / "runs").glob("*.json")
+        statuses = {
+            o["payload_file"]: o["status"]
+            for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+        }
+        assert statuses["vera_summer23.json"] == "partial"
 
 
 class TestWatch:

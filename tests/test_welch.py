@@ -11,6 +11,10 @@ from a4l_analytics.stats.summaries import GroupSummary, descriptives
 
 
 class TestWelchTTest:
+    def test_overflowing_sample_is_degenerate(self):
+        with pytest.raises(DegenerateDataError, match="overflows"):
+            welch_ttest([1e200, 1.0, 2.0], [1.0, 2.0, 3.0])
+
     def test_identical_groups(self):
         result = welch_ttest([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert result.t == 0.0

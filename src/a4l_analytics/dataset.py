@@ -58,10 +58,19 @@ class Column:
 
 @dataclass(frozen=True)
 class TabularDataset:
+    """A parsed dataset.
+
+    ``views`` holds what statistics derive from the columns (the runner
+    keeps its group indexes and splits there), so each is built once
+    while the dataset is cached and freed with it. It takes no part in
+    equality.
+    """
+
     name: str
     version: str
     columns: tuple
     row_count: int
+    views: dict = field(default_factory=dict, compare=False, repr=False)
 
     def column(self, name: str) -> Column:
         for col in self.columns:
@@ -132,8 +141,12 @@ def _typed_column(name: str, raw: Sequence[str]) -> Column:
 
 
 def _read_rows(path: Path, data: bytes) -> Tuple[List[str], List[List[str]]]:
-    """The header and the rows of CSV bytes, with every structural check."""
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
+    """The header and the rows of CSV bytes, with every structural check.
+
+    The bytes are decoded in one piece, so a UnicodeDecodeError names
+    the byte position in the file.
+    """
+    with io.StringIO(data.decode("utf-8"), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

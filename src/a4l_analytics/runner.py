@@ -9,7 +9,7 @@ payload and the dataset bytes, apart from run_id and generated_at.
 
 import json
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
@@ -32,7 +32,7 @@ from .stats import (
     welch_power,
     welch_ttest,
 )
-from .stats.summaries import DescriptivesResult
+from .stats.summaries import DescriptivesResult, GroupSummary
 
 if TYPE_CHECKING:
     from .payload import AnalysisPayload, AnalysisRequest, OutputSpec
@@ -103,12 +103,31 @@ class ResultDocument:
 
 @dataclass
 class GroupSplit:
-    """Two numeric samples plus the level-to-group assignment."""
+    """Two numeric samples plus the level-to-group assignment.
+
+    Every statistic over the same columns of one dataset shares one
+    split, so the samples must not be changed.
+    """
 
     sample1: List[float]
     sample2: List[float]
     ordering: Dict[str, str]
     labels: Tuple[str, str]
+    _summaries: Optional[Tuple[GroupSummary, GroupSummary]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def summaries(self) -> Tuple[GroupSummary, GroupSummary]:
+        """The descriptives of both groups, computed on the first call.
+
+        A DegenerateDataError is raised again on every call.
+        """
+        if self._summaries is None:
+            self._summaries = (
+                descriptives(self.sample1, label=self.labels[0]),
+                descriptives(self.sample2, label=self.labels[1]),
+            )
+        return self._summaries
 
 
 @dataclass(frozen=True)
@@ -187,19 +206,14 @@ def split_groups(
 
 
 def _welch_ttest(req: "AnalysisRequest", split: GroupSplit, dep: str):
+    g1, g2 = split.summaries()
     return welch_ttest(
-        split.sample1,
-        split.sample2,
-        alternative=req.alternative.value,
-        alpha=req.alpha,
-        dependent=dep,
-        labels=split.labels,
+        g1, g2, alternative=req.alternative.value, alpha=req.alpha, dependent=dep
     )
 
 
 def _welch_power(req: "AnalysisRequest", split: GroupSplit, dep: str):
-    g1 = descriptives(split.sample1, label=split.labels[0])
-    g2 = descriptives(split.sample2, label=split.labels[1])
+    g1, g2 = split.summaries()
     return welch_power(
         g1, g2, alpha=req.alpha, alternative=req.alternative.value, dependent=dep
     )
@@ -212,11 +226,8 @@ def _mann_whitney_u(req: "AnalysisRequest", split: GroupSplit, dep: str):
 
 
 def _descriptives(req: "AnalysisRequest", split: GroupSplit, dep: str):
-    return DescriptivesResult(
-        dependent=dep,
-        group1=descriptives(split.sample1, label=split.labels[0]),
-        group2=descriptives(split.sample2, label=split.labels[1]),
-    )
+    g1, g2 = split.summaries()
+    return DescriptivesResult(dependent=dep, group1=g1, group2=g2)
 
 
 @dataclass(frozen=True)
@@ -226,8 +237,9 @@ class Statistic:
     Every statistic takes an independent column of a GROUPING_KINDS
     kind; ``dependent_kinds`` are the kinds each dependent column may
     have. ``compute`` returns the result object for one dependent from
-    its two-group split. It is None for the contingency table, which
-    cross-tabulates the two columns instead of splitting into groups.
+    its two-group split, which every statistic over the same columns
+    shares. It is None for the contingency table, which cross-tabulates
+    the two columns instead of splitting into groups.
     """
 
     dependent_kinds: Tuple[str, ...]
@@ -266,25 +278,39 @@ def _execute_request(
             )
 
     else:
-        index: Optional[GroupIndex] = None
-        try:
-            index = group_index(ds, req.independent)
+        # ds.views holds the index of each independent column and the
+        # split of each (independent, dependent) pair for as long as the
+        # dataset is cached; a failure is not kept, so it is raised again.
+        views = ds.views
+        index: Optional[GroupIndex] = views.get(req.independent)
+        if index is None:
+            try:
+                index = views[req.independent] = group_index(ds, req.independent)
+            except StatError:
+                # split_groups raises the same error again for every dependent
+                pass
+        if index is not None:
             ordering = index.ordering()
-        except StatError:
-            # split_groups raises the same error again for every dependent
-            pass
 
         def result_for(dep: str):
-            return compute(req, split_groups(ds, req.independent, dep, index), dep)
+            key = (req.independent, dep)
+            split = views.get(key)
+            if split is None:
+                split = views[key] = split_groups(ds, req.independent, dep, index)
+            return compute(req, split, dep)
 
     entries: List[dict] = []
     for dep in req.dependent:
         try:
             entries.append(result_for(dep).to_dict())
+            continue
         except StatError as exc:
-            entries.append(
-                {"dependent": dep, "error": {"kind": exc.kind, "message": str(exc)}}
-            )
+            error = {"kind": exc.kind, "message": str(exc)}
+        except (ArithmeticError, ValueError) as exc:
+            # a kernel's own numeric failure, e.g. an overflow at a huge
+            # noncentrality, fails this dependent only
+            error = {"kind": StatError.kind, "message": f"{type(exc).__name__}: {exc}"}
+        entries.append({"dependent": dep, "error": error})
 
     return ResultDocument(
         domain=payload.domain,

@@ -12,11 +12,11 @@ was actually run.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..errors import DegenerateDataError, InsufficientDataError
 from .special import noncentral_t_cdf, student_t_cdf, student_t_quantile
-from .summaries import GroupSummary, descriptives
+from .summaries import GroupSummary
 
 TWO_SIDED = "two_sided"
 LESS = "less"
@@ -105,20 +105,17 @@ def _check_groups(g1: GroupSummary, g2: GroupSummary) -> None:
 
 
 def welch_ttest(
-    group1: Sequence[float],
-    group2: Sequence[float],
+    group1: GroupSummary,
+    group2: GroupSummary,
     alternative: str = TWO_SIDED,
     alpha: float = 0.05,
     dependent: str = "",
-    labels: Tuple[str, str] = ("group1", "group2"),
 ) -> WelchResult:
-    """Welch's unequal-variances t-test of two numeric samples."""
-    g1 = descriptives(group1, label=labels[0])
-    g2 = descriptives(group2, label=labels[1])
-    _check_groups(g1, g2)
+    """Welch's unequal-variances t-test of two summarised samples."""
+    _check_groups(group1, group2)
 
-    se, df = _welch_parts(g1, g2)
-    t = (g1.mean - g2.mean) / se
+    se, df = _welch_parts(group1, group2)
+    t = (group1.mean - group2.mean) / se
     f = student_t_cdf(t, df)
     if alternative == LESS:
         p = f
@@ -128,8 +125,8 @@ def welch_ttest(
         p = 2.0 * min(f, 1.0 - f)
     return WelchResult(
         dependent=dependent,
-        group1=g1,
-        group2=g2,
+        group1=group1,
+        group2=group2,
         t=t,
         df=df,
         p_value=p,

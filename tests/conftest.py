@@ -303,6 +303,19 @@ def huge_vera_cell(root: Path) -> None:
     store.write_text("\n".join([header, ",".join(cells), rest]), encoding="utf-8")
 
 
+def huge_vera_group(root: Path) -> None:
+    """Set every used_vera=true cell of vera's nfc_score to the finite
+    1e154: the summaries stay finite, but post-hoc power meets a
+    noncentrality near 1e155, beyond what the noncentral t kernel takes."""
+    store = root / "store" / "vera_summer23_usage.csv"
+    rows = list(csv.reader(io.StringIO(store.read_text(encoding="utf-8"))))
+    used, score = rows[0].index("used_vera"), rows[0].index("nfc_score")
+    for row in rows[1:]:
+        if row[used] == "true":
+            row[score] = "1e154"
+    store.write_text(_csv_text(rows[0], rows[1:]), encoding="utf-8")
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """Dataset name of every real CSV parse made through dataset.load_csv."""
@@ -317,6 +330,32 @@ def parses(monkeypatch):
 
     monkeypatch.setattr(dataset, "load_csv", counting)
     return parsed
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Every group split and group summary the runner computes.
+
+    ``splits`` records (dataset, independent, dependent) of each
+    runner.split_groups call, ``summaries`` the label of each
+    runner.descriptives call.
+    """
+    from a4l_analytics import runner
+
+    made = {"splits": [], "summaries": []}
+    split_groups, descriptives = runner.split_groups, runner.descriptives
+
+    def counting_split(ds, independent, dependent, index=None):
+        made["splits"].append((ds.name, independent, dependent))
+        return split_groups(ds, independent, dependent, index)
+
+    def counting_descriptives(values, label="all"):
+        made["summaries"].append(label)
+        return descriptives(values, label=label)
+
+    monkeypatch.setattr(runner, "split_groups", counting_split)
+    monkeypatch.setattr(runner, "descriptives", counting_descriptives)
+    return made
 
 
 @pytest.fixture

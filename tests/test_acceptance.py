@@ -100,7 +100,7 @@ class TestCriterion1SpecialFunctionAccuracy:
 
 class TestCriterion2WelchOracleEquivalence:
     def test_formulas_on_1000_random_samples(self):
-        from a4l_analytics.stats import welch_ttest
+        from a4l_analytics.stats import descriptives, welch_ttest
 
         rng = random.Random(2024)
         worst_t = worst_df = 0.0
@@ -110,7 +110,7 @@ class TestCriterion2WelchOracleEquivalence:
             g1 = [rng.gauss(0.0, 1.0 + rng.random()) for _ in range(n1)]
             g2 = [rng.gauss(rng.uniform(-1, 1), 1.0 + rng.random()) for _ in range(n2)]
             t_ref, df_ref = oracles.welch_stats_direct(g1, g2)
-            result = welch_ttest(g1, g2)
+            result = welch_ttest(descriptives(g1), descriptives(g2))
             worst_t = max(worst_t, abs(result.t - t_ref))
             worst_df = max(worst_df, abs(result.df - df_ref))
         assert worst_t <= 1e-10
@@ -124,6 +124,7 @@ class TestCriterion2WelchOracleEquivalence:
     def test_kernel_invariants(self):
         from a4l_analytics.stats import (
             contingency,
+            descriptives,
             mann_whitney_u,
             noncentral_t_cdf,
             student_t_cdf,
@@ -137,8 +138,8 @@ class TestCriterion2WelchOracleEquivalence:
 
         # group-swap antisymmetry and p-value coherence
         for _ in range(200):
-            g1 = [rng.gauss(0, 1) for _ in range(rng.randint(2, 30))]
-            g2 = [rng.gauss(0.4, 2) for _ in range(rng.randint(2, 30))]
+            g1 = descriptives([rng.gauss(0, 1) for _ in range(rng.randint(2, 30))])
+            g2 = descriptives([rng.gauss(0.4, 2) for _ in range(rng.randint(2, 30))])
             a = welch_ttest(g1, g2)
             b = welch_ttest(g2, g1)
             assert abs(b.t + a.t) <= 1e-10 * (1 + abs(a.t))
@@ -157,8 +158,11 @@ class TestCriterion2WelchOracleEquivalence:
             g2 = [rng.gauss(1, 1.5) for _ in range(rng.randint(2, 20))]
             c = rng.uniform(0.1, 50.0)
             k = rng.uniform(-100.0, 100.0)
-            base = welch_ttest(g1, g2)
-            moved = welch_ttest([c * v + k for v in g1], [c * v + k for v in g2])
+            base = welch_ttest(descriptives(g1), descriptives(g2))
+            moved = welch_ttest(
+                descriptives([c * v + k for v in g1]),
+                descriptives([c * v + k for v in g2]),
+            )
             assert abs(moved.t - base.t) <= 1e-10 * (1 + abs(base.t))
             assert abs(moved.p_value - base.p_value) <= 1e-10
             checks += 1

@@ -7,7 +7,13 @@ import pytest
 
 from a4l_analytics.cli import main
 from a4l_analytics.orchestrator import CycleLock, run_cycle
-from conftest import DOMAIN_FILES, build_root, huge_vera_cell, sami_payload
+from conftest import (
+    DOMAIN_FILES,
+    build_root,
+    huge_vera_cell,
+    huge_vera_group,
+    sami_payload,
+)
 
 
 def run_cli(*argv):
@@ -285,6 +291,19 @@ class TestSync:
 
     def test_overflowing_cell_exits_4(self, domain_root, capsys):
         huge_vera_cell(domain_root)
+        code = run_cli("--root", str(domain_root), "--json", "sync")
+        assert code == 4
+        report = json.loads(capsys.readouterr().out)
+        statuses = {o["payload_file"]: o["status"] for o in report["run_outcomes"]}
+        assert statuses == {
+            "jw_fall23.json": "ok",
+            "sami_fall24.json": "ok",
+            "vera_summer23.json": "partial",
+        }
+        assert len(list((domain_root / "runs").glob("*.json"))) == 1
+
+    def test_kernel_overflow_exits_4(self, domain_root, capsys):
+        huge_vera_group(domain_root)
         code = run_cli("--root", str(domain_root), "--json", "sync")
         assert code == 4
         report = json.loads(capsys.readouterr().out)

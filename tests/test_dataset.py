@@ -106,6 +106,14 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="unreadable"):
             load_csv(path)
 
+    def test_invalid_utf8_names_the_byte_in_the_file(self, tmp_path):
+        # past the first 8 kB, where a chunked decoder counts from its chunk
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 3000 + b"\xff,1\n")
+        assert path.stat().st_size == 12008
+        with pytest.raises(DatasetError, match="in position 12004"):
+            load_csv(path)
+
 
 # Cell texts that sit on the edges of the kind rules: missing, non-finite
 # and overflowing floats, boolean tokens that are also numbers, and

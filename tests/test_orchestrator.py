@@ -21,7 +21,7 @@ from a4l_analytics.orchestrator import (
     sync_warehouse,
     watch,
 )
-from conftest import add_domain, build_root, huge_vera_cell, xyz_csv
+from conftest import add_domain, build_root, huge_vera_cell, huge_vera_group, xyz_csv
 
 
 class TestScanStore:
@@ -552,6 +552,36 @@ class TestBrokenDataset:
             for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
         }
         assert statuses["vera_summer23.json"] == "partial"
+
+    def test_kernel_overflow_fails_only_its_dependent(self, domain_root):
+        huge_vera_group(domain_root)
+        report = run_cycle(domain_root)
+        statuses = {o.payload_file: o.status for o in report.run_outcomes}
+        assert statuses == {
+            "jw_fall23.json": "ok",
+            "sami_fall24.json": "ok",
+            "vera_summer23.json": "partial",
+        }
+        results = domain_root / "results" / "vera"
+
+        def stored_doc(name):
+            return json.loads((results / f"{name}.json").read_text(encoding="utf-8"))
+
+        power = stored_doc("vera_summer23_ttest_power")
+        errors = {e["dependent"]: e["error"] for e in power["results"] if "error" in e}
+        assert list(errors) == ["nfc_score"]
+        assert errors["nfc_score"]["kind"] == "stat_error"
+        assert errors["nfc_score"]["message"].startswith("OverflowError: ")
+        assert len(power["results"]) == 4
+        # the t-test reads the same finite summaries and succeeds
+        ttest = stored_doc("vera_summer23_ttest")
+        assert [e["kind"] for e in ttest["results"]] == ["welch_ttest"] * 4
+        (stored,) = (domain_root / "runs").glob("*.json")
+        stored_statuses = {
+            o["payload_file"]: o["status"]
+            for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+        }
+        assert stored_statuses == statuses
 
 
 class TestWatch:

@@ -16,7 +16,7 @@ from a4l_analytics.stats import (
     welch_power,
     welch_ttest,
 )
-from a4l_analytics.stats.summaries import GroupSummary
+from a4l_analytics.stats.summaries import GroupSummary, descriptives
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -31,7 +31,7 @@ def _ttest_or_degenerate(g1, g2, alternative="two_sided"):
     # spreads below double precision legitimately degenerate; the
     # properties then assert the outcome is deterministic, not a crash
     try:
-        return welch_ttest(g1, g2, alternative=alternative)
+        return welch_ttest(descriptives(g1), descriptives(g2), alternative=alternative)
     except DegenerateDataError:
         return None
 
@@ -48,8 +48,9 @@ class TestWelchProperties:
         assert b.t == pytest.approx(-a.t, abs=1e-10 * (1 + abs(a.t)))
         assert b.df == pytest.approx(a.df, rel=1e-12)
         assert b.p_value == pytest.approx(a.p_value, abs=1e-12)
-        less = welch_ttest(g1, g2, alternative="less").p_value
-        greater_swapped = welch_ttest(g2, g1, alternative="greater").p_value
+        s1, s2 = descriptives(g1), descriptives(g2)
+        less = welch_ttest(s1, s2, alternative="less").p_value
+        greater_swapped = welch_ttest(s2, s1, alternative="greater").p_value
         assert less == pytest.approx(greater_swapped, abs=1e-12)
 
     @staticmethod
@@ -88,9 +89,10 @@ class TestWelchProperties:
     def test_p_value_coherence(self, g1, g2):
         if _ttest_or_degenerate(g1, g2) is None:
             return
-        two = welch_ttest(g1, g2).p_value
-        less = welch_ttest(g1, g2, alternative="less").p_value
-        greater = welch_ttest(g1, g2, alternative="greater").p_value
+        s1, s2 = descriptives(g1), descriptives(g2)
+        two = welch_ttest(s1, s2).p_value
+        less = welch_ttest(s1, s2, alternative="less").p_value
+        greater = welch_ttest(s1, s2, alternative="greater").p_value
         assert two == pytest.approx(2.0 * min(less, greater), abs=1e-12)
 
 
@@ -292,3 +294,64 @@ class TestDatasetProperties:
         assert first == second
         missing = sum(1 for c in first.column("x").cells if c is None)
         assert missing == sum(1 for v in values if v == "")
+
+
+# Finite cells at the edges of the float range: huge magnitudes, the
+# smallest subnormal, signed zeros, and a few repeated values for ties.
+edge_cells = st.one_of(
+    st.none(),
+    st.sampled_from([1e200, -1e200, 1e154, 5e-324, -5e-324, 0.0, -0.0, 1.0, 2.0]),
+    st.floats(min_value=-1e200, max_value=1e200, allow_nan=False),
+)
+
+
+class TestExecutePayloadProperties:
+    @given(
+        false=st.lists(edge_cells, max_size=8),
+        true=st.lists(edge_cells, max_size=8),
+        alternative=st.sampled_from(["two_sided", "less", "greater"]),
+    )
+    @example(
+        false=[2.0, 2.57e-278, 5e-324], true=[1e154, 1e154], alternative="two_sided"
+    )
+    @example(false=[], true=[], alternative="less")
+    @settings(max_examples=200, deadline=None)
+    def test_no_statistic_raises(self, false, true, alternative, tmp_path_factory):
+        """Every dependent gets a result or an error entry, whatever
+        finite cells its column holds; no exception leaves the payload."""
+        from a4l_analytics.dataset import StagedRun
+        from a4l_analytics.runner import STATISTICS, execute_payload
+
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        rows = [("false", v) for v in false] + [("true", v) for v in true]
+        body = "".join(
+            f"{g},{'' if v is None else repr(v)},{'ab'[i % 2]}\n"
+            for i, (g, v) in enumerate(rows)
+        )
+        path.write_text("used,y,cat\n" + body, encoding="utf-8")
+        payload = parse_payload(
+            json.dumps(
+                {
+                    "payload_version": 1,
+                    "domain": "p",
+                    "analyses": [
+                        {
+                            "statistic": name,
+                            "dataset": "d",
+                            "independent": "used",
+                            "dependent": ["y" if stat.compute else "cat"],
+                            "alternative": alternative,
+                            "result_file": name,
+                        }
+                        for name, stat in STATISTICS.items()
+                    ],
+                    "output": {"bucket": "p", "prefix": ""},
+                }
+            )
+        )
+        staged = StagedRun(run_id="r", staged={"d": path}, versions={"d": None})
+        docs = execute_payload(payload, staged)
+        assert [d.statistic for d in docs] == list(STATISTICS)
+        for doc in docs:
+            (entry,) = doc.results
+            assert "kind" in entry or set(entry["error"]) == {"kind", "message"}

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from a4l_analytics.cli import main
 from a4l_analytics.dataset import Warehouse, fetch_to_staging, load_csv, sha256_file
 from a4l_analytics.errors import GroupSplitError
+from a4l_analytics.orchestrator import run_cycle
 from a4l_analytics.payload import OutputSpec, parse_payload
 from a4l_analytics.runner import (
     ResultDocument,
@@ -14,7 +16,7 @@ from a4l_analytics.runner import (
     split_groups,
     write_result,
 )
-from conftest import jw_payload, sami_payload
+from conftest import build_root, jw_payload, sami_payload
 
 
 def dataset_from(tmp_path, text, name="d"):
@@ -204,6 +206,142 @@ class TestExecutePayload:
             return out
 
         assert run_once() == run_once()
+
+
+XYZ = "xyz_spring25_usage"
+XYZ_DEPENDENTS = ["engagement_score", "quiz_score"]
+GROUPED_STATISTICS = (
+    "get_welch_ttest",
+    "get_welch_power",
+    "get_descriptives",
+    "get_mann_whitney_u",
+)
+
+
+def _payload(domain, analyses):
+    return {
+        "payload_version": 1,
+        "domain": domain,
+        "analyses": [
+            {**a, "result_file": f"{domain}_{i}"} for i, a in enumerate(analyses)
+        ],
+        "output": {"bucket": domain, "prefix": ""},
+    }
+
+
+def _requests(dataset, independent, dependent, statistics=GROUPED_STATISTICS):
+    return [
+        {
+            "statistic": s,
+            "dataset": dataset,
+            "independent": independent,
+            "dependent": dependent,
+        }
+        for s in statistics
+    ]
+
+
+def _documents(docs):
+    out = [d.to_dict() for d in docs]
+    for d in out:
+        d.pop("run_id")
+        d.pop("generated_at")
+    return out
+
+
+class TestSharedViews:
+    """Within one invocation each (dataset, independent, dependent) is
+    split once, and each split summarised once, whichever statistics and
+    payloads read it."""
+
+    def _root(self, tmp_path, statistics=GROUPED_STATISTICS):
+        root = build_root(tmp_path / "root", domains=("xyz",))
+        (root / "payloads" / "xyz_spring25.json").unlink()
+        for domain in ("a", "b"):
+            doc = _payload(domain, _requests(XYZ, "used_xyz", XYZ_DEPENDENTS, statistics))
+            (root / "payloads" / f"{domain}.json").write_text(json.dumps(doc))
+        return root
+
+    def test_one_split_and_summary_per_column_in_a_cycle(self, tmp_path, derived):
+        report = run_cycle(self._root(tmp_path))
+        assert [o.status for o in report.run_outcomes] == ["ok", "ok"]
+        assert derived["splits"] == [(XYZ, "used_xyz", d) for d in XYZ_DEPENDENTS]
+        assert derived["summaries"] == ["false", "true"] * len(XYZ_DEPENDENTS)
+
+    def test_each_invocation_computes_again(self, tmp_path, derived, capsys):
+        root = self._root(tmp_path)
+        run_cycle(root)
+        for _ in range(2):
+            assert main(["--root", str(root), "run", str(root / "payloads" / "a.json")]) == 0
+        assert derived["splits"] == [(XYZ, "used_xyz", d) for d in XYZ_DEPENDENTS] * 3
+        assert len(derived["summaries"]) == 3 * 2 * len(XYZ_DEPENDENTS)
+
+    def test_mann_whitney_alone_never_summarises(self, tmp_path, derived):
+        report = run_cycle(self._root(tmp_path, ("get_mann_whitney_u",)))
+        assert [o.status for o in report.run_outcomes] == ["ok", "ok"]
+        assert len(derived["splits"]) == len(XYZ_DEPENDENTS)
+        assert derived["summaries"] == []
+
+    def test_shared_documents_equal_separate_ones(self, tmp_path):
+        wh = _staged_root(build_root(tmp_path / "root", domains=("xyz",)))
+        staged = fetch_to_staging([XYZ], wh)
+        requests = _requests(XYZ, "used_xyz", XYZ_DEPENDENTS)
+        shared = execute_payload(parse_payload(json.dumps(_payload("a", requests))), staged)
+        separate = []
+        for i, request in enumerate(requests):
+            # one payload per request, each with a fresh dataset cache
+            doc = _payload("a", [request])
+            doc["analyses"][0]["result_file"] = f"a_{i}"
+            separate.extend(execute_payload(parse_payload(json.dumps(doc)), staged))
+        assert _documents(shared) == _documents(separate)
+
+    def test_failed_split_gives_every_request_the_same_error(self, tmp_path, derived):
+        root = tmp_path / "root"
+        (root / "store").mkdir(parents=True)
+        (root / "store" / "d.csv").write_text(
+            "grp,used,score,label\n"
+            + "".join(
+                f"{'abc'[i % 3]},{'true' if i % 2 else 'false'},{i}.5,{'xy'[i % 2]}\n"
+                for i in range(12)
+            ),
+            encoding="utf-8",
+        )
+        wh = _staged_root(root)
+        # unvalidated, so a categorical dependent reaches the split
+        analyses = _requests("d", "grp", ["score"]) + _requests("d", "used", ["label"])
+        payload = parse_payload(json.dumps(_payload("t", analyses)))
+        docs = execute_payload(payload, fetch_to_staging(["d"], wh))
+        n = len(GROUPED_STATISTICS)
+        three_levels = {json.dumps(d.results) for d in docs[:n]}
+        not_numeric = {json.dumps(d.results) for d in docs[n:]}
+        assert [json.loads(e) for e in three_levels] == [
+            [
+                {
+                    "dependent": "score",
+                    "error": {
+                        "kind": "group_split",
+                        "message": "independent column 'grp' must have exactly 2 "
+                        "distinct non-missing levels, found 3: ['a', 'b', 'c']",
+                    },
+                }
+            ]
+        ]
+        assert [json.loads(e) for e in not_numeric] == [
+            [
+                {
+                    "dependent": "label",
+                    "error": {
+                        "kind": "group_split",
+                        "message": "dependent column 'label' is categorical, needs numeric",
+                    },
+                }
+            ]
+        ]
+        # a failure is not kept: each request tries the split again
+        assert derived["splits"] == [("d", "grp", "score")] * n + [
+            ("d", "used", "label")
+        ] * n
+        assert derived["summaries"] == []
 
 
 class TestWriteResult:

@@ -13,17 +13,21 @@ from a4l_analytics.stats.summaries import GroupSummary, descriptives
 class TestWelchTTest:
     def test_overflowing_sample_is_degenerate(self):
         with pytest.raises(DegenerateDataError, match="overflows"):
-            welch_ttest([1e200, 1.0, 2.0], [1.0, 2.0, 3.0])
+            welch_ttest(
+                descriptives([1e200, 1.0, 2.0]), descriptives([1.0, 2.0, 3.0])
+            )
 
     def test_identical_groups(self):
-        result = welch_ttest([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        result = welch_ttest(descriptives([1.0, 2.0, 3.0]), descriptives([1.0, 2.0, 3.0]))
         assert result.t == 0.0
         assert result.p_value == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_computed_example(self):
         # t = -2.5 / sqrt(5/12 + 5/3) = -sqrt(3); df = 75/17 by direct
         # evaluation of the Welch-Satterthwaite formula
-        result = welch_ttest([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0])
+        result = welch_ttest(
+            descriptives([1.0, 2.0, 3.0, 4.0]), descriptives([2.0, 4.0, 6.0, 8.0])
+        )
         assert result.t == pytest.approx(-math.sqrt(3.0), abs=1e-10)
         assert result.df == pytest.approx(75.0 / 17.0, abs=1e-10)
         assert result.t == pytest.approx(-1.7321, abs=1e-4)
@@ -44,13 +48,13 @@ class TestWelchTTest:
             g1 = [rng.gauss(0, 1) for _ in range(n1)]
             g2 = [rng.gauss(0.3, 1.7) for _ in range(n2)]
             t_ref, df_ref = oracles.welch_stats_direct(g1, g2)
-            result = welch_ttest(g1, g2)
+            result = welch_ttest(descriptives(g1), descriptives(g2))
             assert result.t == pytest.approx(t_ref, abs=1e-10)
             assert result.df == pytest.approx(df_ref, abs=1e-10)
 
     def test_one_sided_directions(self):
-        g1 = [1.0, 2.0, 3.0]
-        g2 = [4.0, 5.0, 6.0]
+        g1 = descriptives([1.0, 2.0, 3.0])
+        g2 = descriptives([4.0, 5.0, 6.0])
         less = welch_ttest(g1, g2, alternative="less")
         greater = welch_ttest(g1, g2, alternative="greater")
         assert less.p_value < 0.05
@@ -58,24 +62,29 @@ class TestWelchTTest:
         assert less.p_value + greater.p_value == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_values_dropped(self):
-        result = welch_ttest([1.0, None, 2.0, 3.0], [4.0, 5.0, None, 6.0])
+        result = welch_ttest(
+            descriptives([1.0, None, 2.0, 3.0]), descriptives([4.0, 5.0, None, 6.0])
+        )
         assert result.group1.n == 3
         assert result.group2.n == 3
 
     def test_labels_recorded(self):
-        result = welch_ttest([1.0, 2.0], [3.0, 4.0], labels=("false", "true"))
+        result = welch_ttest(
+            descriptives([1.0, 2.0], label="false"),
+            descriptives([3.0, 4.0], label="true"),
+        )
         assert result.group1.label == "false"
         assert result.group2.label == "true"
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
-            welch_ttest([1.0], [2.0, 3.0])
+            welch_ttest(descriptives([1.0]), descriptives([2.0, 3.0]))
         with pytest.raises(InsufficientDataError):
-            welch_ttest([1.0, 2.0], [3.0])
+            welch_ttest(descriptives([1.0, 2.0]), descriptives([3.0]))
 
     def test_degenerate_data(self):
         with pytest.raises(DegenerateDataError):
-            welch_ttest([2.0, 2.0, 2.0], [5.0, 5.0])
+            welch_ttest(descriptives([2.0, 2.0, 2.0]), descriptives([5.0, 5.0]))
 
 
 class TestWelchPower:

@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .dataset import DatasetCache, Warehouse, fetch_to_staging  # noqa: F401
@@ -125,14 +126,14 @@ def cmd_sync(args) -> int:
     except (A4LError, OSError) as exc:
         _emit(args, f"error: {exc}", {"error": str(exc)})
         return EXIT_IO
-    _emit(args, _report_summary(report), report.to_dict())
+    _emit(args, _report_summary(report), asdict(report))
     return EXIT_OK if report.all_ok() else EXIT_PARTIAL
 
 
 def cmd_watch(args) -> int:
     try:
         for report in watch(args.root, args.interval):
-            _emit(args, _report_summary(report), report.to_dict())
+            _emit(args, _report_summary(report), asdict(report))
     except LockHeldError as exc:
         _emit(args, f"locked: {exc}", {"error": str(exc)})
         return EXIT_LOCK

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import uuid
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -23,6 +24,9 @@ from .errors import DatasetError, ManifestError, UnknownDatasetError
 KIND_NUMERIC = "numeric"
 KIND_BOOLEAN = "boolean"
 KIND_CATEGORICAL = "categorical"
+
+# A manifest sha256 also names the dataset's archive file.
+_SHA256_RE = re.compile(r"[0-9a-f]{64}")
 
 _BOOL_TOKENS = {
     "true": True,
@@ -219,11 +223,9 @@ class DatasetCache:
     """
 
     def __init__(self) -> None:
-        self._datasets: Dict[Tuple[str, Optional[str]], TabularDataset] = {}
+        self._datasets: Dict[Tuple[str, str], TabularDataset] = {}
 
-    def get(
-        self, name: str, sha256: Optional[str], path: Union[str, Path]
-    ) -> TabularDataset:
+    def get(self, name: str, sha256: str, path: Union[str, Path]) -> TabularDataset:
         key = (name, sha256)
         ds = self._datasets.get(key)
         if ds is None:
@@ -248,7 +250,7 @@ class _ColumnCatalog(Mapping):
     def __getitem__(self, name: str) -> Dict[str, str]:
         entry = self._manifest[name]
         path = self._warehouse.dataset_path(name)
-        return self._cache.get(name, entry.get("sha256"), path).kinds()
+        return self._cache.get(name, entry["sha256"], path).kinds()
 
     def __contains__(self, name) -> bool:
         return name in self._manifest
@@ -264,9 +266,9 @@ class Warehouse:
     """The local content-addressed dataset store.
 
     Layout under the pipeline root:
-        warehouse/<name>.csv      current version of each dataset
-        warehouse/manifest.json   {"<name>": {"sha256", "bytes", "updated"}}
-        archive/<name>/<ts>.csv   superseded versions
+        warehouse/<name>.csv          current version of each dataset
+        warehouse/manifest.json       {"<name>": {"sha256", "bytes", "updated"}}
+        archive/<name>/<sha256>.csv   superseded versions, named by their hash
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -276,6 +278,9 @@ class Warehouse:
         self.manifest_path = self.dir / "manifest.json"
 
     def manifest(self) -> Dict[str, dict]:
+        """The manifest's entries by dataset name, each checked to hold a
+        ``sha256`` of 64 hex digits and an int ``bytes``; ManifestError
+        otherwise."""
         if not self.manifest_path.exists():
             return {}
         try:
@@ -285,6 +290,17 @@ class Warehouse:
             raise ManifestError(f"{self.manifest_path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ManifestError(f"{self.manifest_path}: manifest must be an object")
+        for name, entry in data.items():
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("sha256"), str)
+                and _SHA256_RE.fullmatch(entry["sha256"])
+                and type(entry.get("bytes")) is int
+            ):
+                raise ManifestError(
+                    f"{self.manifest_path}: entry {name!r} must be an object "
+                    "with a sha256 of 64 hex digits and an integer bytes"
+                )
         return data
 
     def write_manifest(self, entries: Dict[str, dict]) -> None:
@@ -318,7 +334,7 @@ class StagedRun:
 
     run_id: str
     staged: Dict[str, Path] = field(default_factory=dict)
-    versions: Dict[str, Optional[str]] = field(default_factory=dict)
+    versions: Dict[str, str] = field(default_factory=dict)
 
 
 def fetch_to_staging(names: Iterable[str], warehouse: Warehouse) -> StagedRun:
@@ -336,5 +352,5 @@ def fetch_to_staging(names: Iterable[str], warehouse: Warehouse) -> StagedRun:
                 "payload should have been validated)"
             )
         run.staged[name] = warehouse.dataset_path(name)
-        run.versions[name] = manifest[name].get("sha256")
+        run.versions[name] = manifest[name]["sha256"]
     return run

@@ -13,7 +13,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -38,14 +38,6 @@ class UpdateRecord:
     old_sha256: Optional[str] = None
     archived_to: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "new_sha256": self.new_sha256,
-            "old_sha256": self.old_sha256,
-            "archived_to": self.archived_to,
-        }
-
 
 @dataclass
 class RunOutcome:
@@ -56,29 +48,16 @@ class RunOutcome:
     result_keys: List[str] = field(default_factory=list)
     detail: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "payload_file": self.payload_file,
-            "status": self.status,
-            "result_keys": self.result_keys,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class SyncReport:
+    """One cycle's report; ``dataclasses.asdict`` gives its JSON form,
+    with the keys in field order."""
+
     scanned_at: str
     updated: List[UpdateRecord] = field(default_factory=list)
     selected_payloads: List[str] = field(default_factory=list)
     run_outcomes: List[RunOutcome] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "scanned_at": self.scanned_at,
-            "updated": [u.to_dict() for u in self.updated],
-            "selected_payloads": self.selected_payloads,
-            "run_outcomes": [o.to_dict() for o in self.run_outcomes],
-        }
 
     def all_ok(self) -> bool:
         return all(o.status == "ok" for o in self.run_outcomes)
@@ -148,9 +127,12 @@ def sync_warehouse(
 
     For every dataset whose store hash differs from the manifest (or is
     absent from it), the existing warehouse file is hard-linked as
-    archive/<name>/<timestamp>.csv, then the new bytes replace it in one
+    archive/<name>/<old sha256>.csv, then the new bytes replace it in one
     step, so a reader of warehouse/<name>.csv always sees a whole
-    version. The manifest is rewritten atomically at the end.
+    version. The manifest is rewritten atomically at the end. An archive
+    file that already exists is kept: after a cycle that failed before
+    its manifest write, the warehouse file may already hold the new
+    bytes, and they must not be archived as the old version.
     """
     if not lock.held:
         raise A4LError("sync_warehouse requires the cycle lock to be held")
@@ -162,17 +144,17 @@ def sync_warehouse(
     for name in sorted(scan):
         new_sha = scan[name]
         entry = manifest.get(name)
-        if entry is not None and entry.get("sha256") == new_sha:
+        if entry is not None and entry["sha256"] == new_sha:
             continue
 
         record = UpdateRecord(dataset=name, new_sha256=new_sha)
         target = warehouse.dataset_path(name)
         if entry is not None and target.exists():
-            record.old_sha256 = entry.get("sha256")
-            archive_dir = warehouse.archive_dir / name
-            archive_dir.mkdir(parents=True, exist_ok=True)
-            archive_path = archive_dir / f"{utc_now_rfc3339()}.csv"
-            os.link(target, archive_path)
+            record.old_sha256 = entry["sha256"]
+            archive_path = warehouse.archive_dir / name / f"{record.old_sha256}.csv"
+            if not archive_path.exists():
+                archive_path.parent.mkdir(parents=True, exist_ok=True)
+                os.link(target, archive_path)
             record.archived_to = str(archive_path.relative_to(warehouse.root))
 
         warehouse.dir.mkdir(parents=True, exist_ok=True)
@@ -297,7 +279,7 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
 
         runs_dir = root / "runs"
         runs_dir.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
+        text = json.dumps(asdict(report), indent=2) + "\n"
         atomic_write(runs_dir / f"{report.scanned_at}.json", text.encode("utf-8"))
         return report
 

@@ -12,7 +12,7 @@ during execution.
 import difflib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable, List, Mapping, Optional, Set, Tuple, Union
 
@@ -92,44 +92,58 @@ class ValidationReport:
         return "\n".join(d.render() for d in self.diagnostics)
 
 
-class _Reader:
-    """Strict dict reader that records the field path in every error."""
+# Each object's fields, in reading order: name -> (accepted types, the
+# type's name in a diagnostic, default). A field whose default is None is
+# required.
+_PAYLOAD_FIELDS = {
+    "payload_version": (int, "an integer", None),
+    "domain": (str, "a string", None),
+    "analyses": (list, "a list of analysis requests", None),
+    "output": (dict, "an object", None),
+}
+_REQUEST_FIELDS = {
+    "statistic": (str, "a string", None),
+    "dataset": (str, "a string", None),
+    "independent": (str, "a string", None),
+    "dependent": (list, "a list of column names", None),
+    "result_file": (str, "a string", None),
+    "alternative": (str, "a string", "two_sided"),
+    "alpha": ((int, float), "a number", DEFAULT_ALPHA),
+}
+_OUTPUT_FIELDS = {
+    "bucket": (str, "a string", None),
+    "prefix": (str, "a string", ""),
+}
 
-    def __init__(self, obj, path, problems):
-        self.obj = obj
-        self.path = path
-        self.problems = problems
-        self.seen = set()
 
-    def _fail(self, key, message, value=None):
-        path = f"{self.path}.{key}" if self.path else key
-        self.problems.append(Diagnostic(path=path, message=message, value=value))
+def _fail(problems, path, key, message, value=None):
+    problems.append(Diagnostic(f"{path}.{key}" if path else key, message, value))
 
-    def require(self, key, kinds, kind_name):
-        self.seen.add(key)
-        if key not in self.obj:
-            self._fail(key, "missing required field")
-            return None
-        value = self.obj[key]
-        if not isinstance(value, kinds) or isinstance(value, bool) and kinds != (bool,):
-            self._fail(key, f"expected {kind_name}", value=repr(value))
-            return None
-        return value
 
-    def optional(self, key, kinds, kind_name, default):
-        self.seen.add(key)
-        if key not in self.obj:
-            return default
-        value = self.obj[key]
-        if not isinstance(value, kinds) or isinstance(value, bool) and kinds != (bool,):
-            self._fail(key, f"expected {kind_name}", value=repr(value))
-            return None
-        return value
+def _read(obj, path, fields, problems) -> list:
+    """The value of each of ``fields`` in ``obj``, in table order.
 
-    def reject_unknown(self):
-        for key in self.obj:
-            if key not in self.seen:
-                self._fail(key, "unknown field")
+    An absent field takes its default; an absent required field, a value
+    of another type (a bool is never a number) and every key the table
+    does not name are reported at their path. A reported field reads as
+    None.
+    """
+    values = []
+    for key, (types, type_name, default) in fields.items():
+        if key not in obj:
+            if default is None:
+                _fail(problems, path, key, "missing required field")
+            values.append(default)
+            continue
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            _fail(problems, path, key, f"expected {type_name}", repr(value))
+            value = None
+        values.append(value)
+    for key in obj:
+        if key not in fields:
+            _fail(problems, path, key, "unknown field")
+    return values
 
 
 def _parse_request(obj, path, problems) -> Optional[AnalysisRequest]:
@@ -137,60 +151,39 @@ def _parse_request(obj, path, problems) -> Optional[AnalysisRequest]:
         problems.append(Diagnostic(path=path, message="expected an object"))
         return None
     start = len(problems)
-    r = _Reader(obj, path, problems)
+    statistic, dataset, independent, dependent, result_file, alternative, alpha = _read(
+        obj, path, _REQUEST_FIELDS, problems
+    )
 
-    statistic = r.require("statistic", (str,), "a string")
-    dataset = r.require("dataset", (str,), "a string")
-    independent = r.require("independent", (str,), "a string")
-    dependent = r.require("dependent", (list,), "a list of column names")
-    result_file = r.require("result_file", (str,), "a string")
-    alternative = r.optional("alternative", (str,), "a string", Alternative.TWO_SIDED)
-    alpha = r.optional("alpha", (int, float), "a number", DEFAULT_ALPHA)
-    r.reject_unknown()
-
-    alt_value = None
     if alternative is not None:
-        if isinstance(alternative, Alternative):
-            alt_value = alternative
-        else:
-            try:
-                alt_value = Alternative(alternative.replace("-", "_"))
-            except ValueError:
-                r._fail(
-                    "alternative",
-                    "must be one of two_sided, less, greater",
-                    value=repr(alternative),
-                )
+        try:
+            alternative = Alternative(alternative.replace("-", "_"))
+        except ValueError:
+            message = "must be one of two_sided, less, greater"
+            _fail(problems, path, "alternative", message, repr(alternative))
 
     if dependent is not None:
         cleaned = []
         for i, name in enumerate(dependent):
             if not isinstance(name, str) or not name:
-                problems.append(
-                    Diagnostic(
-                        path=f"{path}.dependent[{i}]",
-                        message="expected a non-empty column name",
-                        value=repr(name),
-                    )
-                )
+                message = "expected a non-empty column name"
+                _fail(problems, path, f"dependent[{i}]", message, repr(name))
             else:
                 cleaned.append(name)
         if not dependent:
-            r._fail("dependent", "must be non-empty")
+            _fail(problems, path, "dependent", "must be non-empty")
         if len(set(cleaned)) != len(cleaned):
-            r._fail("dependent", "contains duplicate column names")
+            _fail(problems, path, "dependent", "contains duplicate column names")
         if independent is not None and independent in cleaned:
-            r._fail("dependent", f"must not contain the independent column {independent!r}")
+            message = f"must not contain the independent column {independent!r}"
+            _fail(problems, path, "dependent", message)
         dependent = tuple(cleaned)
 
     if alpha is not None and not 0.0 < float(alpha) < 1.0:
-        r._fail("alpha", "must lie strictly between 0 and 1", value=repr(alpha))
+        _fail(problems, path, "alpha", "must lie strictly between 0 and 1", repr(alpha))
     if result_file is not None and not RESULT_FILE_RE.match(result_file):
-        r._fail(
-            "result_file",
-            "must match [a-z0-9_]+ (no path separators)",
-            value=repr(result_file),
-        )
+        message = "must match [a-z0-9_]+ (no path separators)"
+        _fail(problems, path, "result_file", message, repr(result_file))
 
     if len(problems) > start:
         return None
@@ -200,30 +193,25 @@ def _parse_request(obj, path, problems) -> Optional[AnalysisRequest]:
         independent=independent,
         dependent=dependent,
         result_file=result_file,
-        alternative=alt_value,
+        alternative=alternative,
         alpha=float(alpha),
     )
 
 
 def _parse_output(obj, path, problems) -> Optional[OutputSpec]:
-    if not isinstance(obj, dict):
-        problems.append(Diagnostic(path=path, message="expected an object"))
-        return None
     start = len(problems)
-    r = _Reader(obj, path, problems)
-    bucket = r.require("bucket", (str,), "a string")
-    prefix = r.optional("prefix", (str,), "a string", "")
-    r.reject_unknown()
+    bucket, prefix = _read(obj, path, _OUTPUT_FIELDS, problems)
 
     if bucket is not None and not bucket:
-        r._fail("bucket", "must be non-empty")
+        _fail(problems, path, "bucket", "must be non-empty")
     if prefix:
         segments = prefix.split("/")
         if ".." in segments or prefix.startswith("/"):
-            r._fail("prefix", "must be a relative path without '..' segments", value=repr(prefix))
+            message = "must be a relative path without '..' segments"
+            _fail(problems, path, "prefix", message, repr(prefix))
     if len(problems) > start:
         return None
-    return OutputSpec(bucket=bucket, prefix=prefix or "")
+    return OutputSpec(bucket=bucket, prefix=prefix)
 
 
 def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
@@ -262,20 +250,15 @@ def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
             [Diagnostic(path="", message="payload must be a JSON object")],
         )
 
-    r = _Reader(obj, "", problems)
-    version = r.require("payload_version", (int,), "an integer")
-    domain = r.require("domain", (str,), "a string")
-    analyses = r.require("analyses", (list,), "a list of analysis requests")
-    output = r.require("output", (dict,), "an object")
-    r.reject_unknown()
+    version, domain, analyses, output = _read(obj, "", _PAYLOAD_FIELDS, problems)
 
     if domain is not None and not DOMAIN_RE.match(domain):
-        r._fail("domain", "must match [a-z][a-z0-9_]*", value=repr(domain))
+        _fail(problems, "", "domain", "must match [a-z][a-z0-9_]*", repr(domain))
 
     requests: List[AnalysisRequest] = []
     if analyses is not None:
         if not analyses:
-            r._fail("analyses", "must be non-empty")
+            _fail(problems, "", "analyses", "must be non-empty")
         for i, entry in enumerate(analyses):
             req = _parse_request(entry, f"analyses[{i}]", problems)
             if req is not None:
@@ -287,7 +270,8 @@ def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
         names = [req.result_file for req in requests]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
-            r._fail("analyses", f"result_file names must be unique, repeated: {dupes}")
+            message = f"result_file names must be unique, repeated: {dupes}"
+            _fail(problems, "", "analyses", message)
 
     if problems:
         raise PayloadError(
@@ -304,34 +288,28 @@ def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
 
 def serialize_payload(payload: AnalysisPayload) -> str:
     """Canonical JSON form; parse_payload(serialize_payload(p)) == p."""
-    doc = {
-        "payload_version": payload.payload_version,
-        "domain": payload.domain,
-        "analyses": [
-            {
-                "statistic": req.statistic,
-                "dataset": req.dataset,
-                "independent": req.independent,
-                "dependent": list(req.dependent),
-                "alternative": req.alternative.value,
-                "alpha": req.alpha,
-                "result_file": req.result_file,
-            }
-            for req in payload.analyses
-        ],
-        "output": {"bucket": payload.output.bucket, "prefix": payload.output.prefix},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(payload), indent=2) + "\n"
 
 
-def _suggest(name: str, candidates: Iterable[str]) -> Optional[str]:
-    matches = difflib.get_close_matches(name, list(candidates), n=1)
-    return matches[0] if matches else None
+def _unknown_name(path: str, message: str, name: str, known: Iterable[str]) -> Diagnostic:
+    """A name that is not among ``known``, suggesting the closest one."""
+    matches = difflib.get_close_matches(name, list(known), n=1)
+    return Diagnostic(path, message, name, matches[0] if matches else None)
+
+
+def _check_column(diagnostics, path, name, kinds, columns, req) -> None:
+    """Report a column of ``req`` that is not in ``columns`` or not of ``kinds``."""
+    kind = columns.get(name)
+    if kind is None:
+        message = f"column not in dataset {req.dataset!r}"
+        diagnostics.append(_unknown_name(path, message, name, columns))
+    elif kind not in kinds:
+        message = f"column is {kind}, {req.statistic} needs one of {', '.join(kinds)}"
+        diagnostics.append(Diagnostic(path, message, name))
 
 
 def validate_payload(
-    payload: AnalysisPayload,
-    catalog: Optional[Mapping[str, Mapping[str, str]]] = None,
+    payload: AnalysisPayload, catalog: Mapping[str, Mapping[str, str]]
 ) -> ValidationReport:
     """Check every request against the statistic table and warehouse.
 
@@ -340,77 +318,29 @@ def validate_payload(
     only existing datasets, existing columns of workable kinds and
     registered statistics, so execution cannot hit an unknown name.
     """
-    catalog = {} if catalog is None else catalog
     diagnostics: List[Diagnostic] = []
-
     for i, req in enumerate(payload.analyses):
         path = f"analyses[{i}]"
-        if req.statistic not in STATISTICS:
+        statistic = STATISTICS.get(req.statistic)
+        if statistic is None:
             diagnostics.append(
-                Diagnostic(
-                    path=f"{path}.statistic",
-                    message="unknown statistic",
-                    value=req.statistic,
-                    suggestion=_suggest(req.statistic, STATISTICS),
+                _unknown_name(
+                    f"{path}.statistic", "unknown statistic", req.statistic, STATISTICS
                 )
             )
-            continue
-
-        if req.dataset not in catalog:
+        elif req.dataset not in catalog:
             diagnostics.append(
-                Diagnostic(
-                    path=f"{path}.dataset",
-                    message="unknown dataset",
-                    value=req.dataset,
-                    suggestion=_suggest(req.dataset, catalog.keys()),
-                )
+                _unknown_name(f"{path}.dataset", "unknown dataset", req.dataset, catalog)
             )
-            continue
-
-        columns = catalog[req.dataset]
-        dep_kinds = STATISTICS[req.statistic].dependent_kinds
-
-        if req.independent not in columns:
-            diagnostics.append(
-                Diagnostic(
-                    path=f"{path}.independent",
-                    message=f"column not in dataset {req.dataset!r}",
-                    value=req.independent,
-                    suggestion=_suggest(req.independent, columns.keys()),
-                )
+        else:
+            columns = catalog[req.dataset]
+            _check_column(
+                diagnostics, f"{path}.independent", req.independent, GROUPING_KINDS,
+                columns, req,
             )
-        elif columns[req.independent] not in GROUPING_KINDS:
-            diagnostics.append(
-                Diagnostic(
-                    path=f"{path}.independent",
-                    message=(
-                        f"column is {columns[req.independent]}, "
-                        f"{req.statistic} needs one of {', '.join(GROUPING_KINDS)}"
-                    ),
-                    value=req.independent,
+            for j, dep in enumerate(req.dependent):
+                _check_column(
+                    diagnostics, f"{path}.dependent[{j}]", dep,
+                    statistic.dependent_kinds, columns, req,
                 )
-            )
-
-        for j, dep in enumerate(req.dependent):
-            if dep not in columns:
-                diagnostics.append(
-                    Diagnostic(
-                        path=f"{path}.dependent[{j}]",
-                        message=f"column not in dataset {req.dataset!r}",
-                        value=dep,
-                        suggestion=_suggest(dep, columns.keys()),
-                    )
-                )
-            elif columns[dep] not in dep_kinds:
-                diagnostics.append(
-                    Diagnostic(
-                        path=f"{path}.dependent[{j}]",
-                        message=(
-                            f"column is {columns[dep]}, "
-                            f"{req.statistic} needs one of {', '.join(dep_kinds)}"
-                        ),
-                        value=dep,
-                    )
-                )
-
     return ValidationReport(ok=not diagnostics, diagnostics=diagnostics)

@@ -341,9 +341,8 @@ def execute_payload(
     cache = DatasetCache() if cache is None else cache
     documents = []
     for req in payload.analyses:
-        ds = cache.get(
-            req.dataset, staged.versions.get(req.dataset), staged.staged[req.dataset]
-        )
+        name = req.dataset
+        ds = cache.get(name, staged.versions[name], staged.staged[name])
         documents.append(_execute_request(payload, req, ds, run_id, generated_at))
     return documents
 

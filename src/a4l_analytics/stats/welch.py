@@ -11,6 +11,7 @@ same degrees of freedom, so the power statement matches the test that
 was actually run.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -115,7 +116,15 @@ def welch_ttest(
     _check_groups(group1, group2)
 
     se, df = _welch_parts(group1, group2)
-    t = (group1.mean - group2.mean) / se
+    diff = group1.mean - group2.mean
+    t = diff / se
+    if not math.isfinite(t):
+        # finite summaries can still overflow here, e.g. a mean difference
+        # of 1e200 over a standard error of 1e-150; JSON has no infinity
+        raise DegenerateDataError(
+            f"the t statistic overflows the float range "
+            f"(mean difference {diff!r}, standard error {se!r})"
+        )
     f = student_t_cdf(t, df)
     if alternative == LESS:
         p = f

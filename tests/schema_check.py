@@ -1,7 +1,9 @@
 """Structural validation of result documents against the shipped schema.
 
 Mirrors docs/result_schema.json closely enough for the acceptance suite
-without pulling in a JSON Schema engine.
+without pulling in a JSON Schema engine. Tests read result documents and
+``runs/`` reports through ``strict_loads``, so a NaN or an infinity that
+``json.dumps`` let through fails them.
 """
 
 import json
@@ -13,6 +15,8 @@ RESULT_SCHEMA = json.loads(
 # Read from the schema, not from the package's statistic table, so the
 # check stays independent of the code it checks.
 STATISTICS = set(RESULT_SCHEMA["properties"]["statistic"]["enum"])
+
+
 ALTERNATIVES = {"two_sided", "less", "greater"}
 ERROR_KINDS = {
     "argument_error",
@@ -36,6 +40,15 @@ TOP_LEVEL_KEYS = {
     "run_id",
     "generated_at",
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity (RFC 8259)."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def _check_group_summary(entry, label):

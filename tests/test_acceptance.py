@@ -22,7 +22,7 @@ from scipy import stats as scipy_stats
 
 import oracles
 from conftest import DOMAIN_FILES, add_domain, build_root
-from schema_check import check_result_document
+from schema_check import check_result_document, strict_loads
 
 SUITE_START = time.monotonic()
 
@@ -38,7 +38,7 @@ def _sync(root):
         text=True,
     )
     assert proc.returncode in (0, 4), proc.stderr
-    return json.loads(proc.stdout), proc.returncode
+    return strict_loads(proc.stdout), proc.returncode
 
 
 class TestCriterion1SpecialFunctionAccuracy:
@@ -510,13 +510,13 @@ class TestCriterion6CrossDomainReplication:
         for key in EXPECTED_KEYS:
             path = root / key
             assert path.is_file(), f"missing {key}"
-            check_result_document(json.loads(path.read_text(encoding="utf-8")))
+            check_result_document(strict_loads(path.read_text(encoding="utf-8")))
 
         # reconstruct the statistic-by-domain coverage matrix from the
         # result files alone
         coverage = {}
         for path in sorted((root / "results").rglob("*.json")):
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = strict_loads(path.read_text(encoding="utf-8"))
             check_result_document(doc)
             coverage.setdefault(doc["statistic"], set()).add(doc["domain"])
 
@@ -563,7 +563,7 @@ class TestCriterion7NewDomainZeroCode:
         ):
             path = root / "results" / "xyz" / f"{name}.json"
             assert path.is_file()
-            check_result_document(json.loads(path.read_text(encoding="utf-8")))
+            check_result_document(strict_loads(path.read_text(encoding="utf-8")))
 
         checksum_after = _package_checksum()
         assert checksum_before == checksum_after

@@ -14,6 +14,7 @@ from conftest import (
     huge_vera_group,
     sami_payload,
 )
+from schema_check import strict_loads
 
 
 def run_cli(*argv):
@@ -40,7 +41,7 @@ def _documents(results_root):
     the per-run fields dropped."""
     docs = {}
     for path in sorted(results_root.rglob("*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = strict_loads(path.read_text(encoding="utf-8"))
         del doc["run_id"], doc["generated_at"]
         docs[path.relative_to(results_root).as_posix()] = doc
     return docs
@@ -103,7 +104,7 @@ class TestRun:
             str(synced_root / "payloads" / "sami_fall24.json"),
         )
         assert code == 4
-        doc = json.loads(
+        doc = strict_loads(
             (synced_root / "results" / "sami" / "sami_fall24_ttest.json")
             .read_text(encoding="utf-8")
         )
@@ -293,7 +294,7 @@ class TestSync:
         huge_vera_cell(domain_root)
         code = run_cli("--root", str(domain_root), "--json", "sync")
         assert code == 4
-        report = json.loads(capsys.readouterr().out)
+        report = strict_loads(capsys.readouterr().out)
         statuses = {o["payload_file"]: o["status"] for o in report["run_outcomes"]}
         assert statuses == {
             "jw_fall23.json": "ok",
@@ -306,7 +307,7 @@ class TestSync:
         huge_vera_group(domain_root)
         code = run_cli("--root", str(domain_root), "--json", "sync")
         assert code == 4
-        report = json.loads(capsys.readouterr().out)
+        report = strict_loads(capsys.readouterr().out)
         statuses = {o["payload_file"]: o["status"] for o in report["run_outcomes"]}
         assert statuses == {
             "jw_fall23.json": "ok",
@@ -327,7 +328,7 @@ class TestSync:
     def test_json_report(self, domain_root, capsys):
         code = run_cli("--root", str(domain_root), "--json", "sync")
         assert code == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_loads(capsys.readouterr().out)
         assert len(report["updated"]) == 3
         assert len(report["run_outcomes"]) == 3
 
@@ -363,6 +364,21 @@ class TestList:
         )
         code = run_cli("--root", str(synced_root), "list")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["list", "sync", "run", "validate"])
+    def test_corrupt_manifest_entry_exits_1(self, synced_root, capsys, command):
+        manifest = synced_root / "warehouse" / "manifest.json"
+        entries = json.loads(manifest.read_text(encoding="utf-8"))
+        entries["sami_fall24_usage"] = "oops"
+        manifest.write_text(json.dumps(entries), encoding="utf-8")
+        args = [command]
+        if command in ("run", "validate"):
+            args.append(str(synced_root / "payloads" / "sami_fall24.json"))
+        code = run_cli("--root", str(synced_root), *args)
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert "manifest.json" in out and "'sami_fall24_usage'" in out
 
     def test_json_output(self, synced_root, capsys):
         code = run_cli("--root", str(synced_root), "--json", "list")

@@ -225,6 +225,30 @@ class TestWarehouse:
         with pytest.raises(ManifestError):
             wh.manifest()
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "oops",
+            None,
+            ["0" * 64, 1],
+            {"bytes": 1},
+            {"sha256": None, "bytes": 1},
+            {"sha256": "../../escape", "bytes": 1},
+            {"sha256": "A" * 64, "bytes": 1},
+            {"sha256": "0" * 64},
+            {"sha256": "0" * 64, "bytes": "1"},
+            {"sha256": "0" * 64, "bytes": 1.0},
+            {"sha256": "0" * 64, "bytes": True},
+        ],
+    )
+    def test_malformed_entry_names_itself(self, tmp_path, entry):
+        wh = self._prime(tmp_path, "d", "a\n1\n")
+        entries = wh.manifest()
+        entries["bad"] = entry
+        wh.manifest_path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(ManifestError, match="manifest.json: entry 'bad' must be"):
+            wh.manifest()
+
     def test_column_catalog(self, tmp_path):
         wh = self._prime(tmp_path, "d", "used,score\ntrue,1.5\nfalse,2.5\n")
         assert wh.column_catalog() == {"d": {"used": "boolean", "score": "numeric"}}

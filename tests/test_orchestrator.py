@@ -22,6 +22,7 @@ from a4l_analytics.orchestrator import (
     watch,
 )
 from conftest import add_domain, build_root, huge_vera_cell, huge_vera_group, xyz_csv
+from schema_check import strict_loads
 
 
 class TestScanStore:
@@ -146,6 +147,61 @@ class TestSyncWarehouse:
         ]
 
 
+    def test_failed_manifest_write_does_not_archive_the_new_bytes(
+        self, synced_root, monkeypatch
+    ):
+        wh = Warehouse(synced_root)
+        name = "jw_fall23_usage"
+        old_bytes = wh.dataset_path(name).read_bytes()
+        old_sha = wh.manifest()[name]["sha256"]
+        store_file = synced_root / "store" / f"{name}.csv"
+        store_file.write_bytes(old_bytes + b"true,91.00,<25\n")
+
+        real_write_manifest = Warehouse.write_manifest
+        calls = []
+
+        def fails_once(self, entries):
+            calls.append(entries)
+            if len(calls) == 1:
+                raise OSError("injected manifest write failure")
+            real_write_manifest(self, entries)
+
+        monkeypatch.setattr(Warehouse, "write_manifest", fails_once)
+        with pytest.raises(OSError, match="injected"):
+            run_cycle(synced_root)
+        # the warehouse file already holds the new bytes; the manifest
+        # still names the old ones
+        assert wh.dataset_path(name).read_bytes() == store_file.read_bytes()
+        assert wh.manifest()[name]["sha256"] == old_sha
+
+        report = run_cycle(synced_root)
+        (record,) = report.updated
+        archive = wh.archive_dir / name
+        assert [p.name for p in archive.iterdir()] == [f"{old_sha}.csv"]
+        assert (archive / f"{old_sha}.csv").read_bytes() == old_bytes
+        assert record.old_sha256 == old_sha
+        assert record.archived_to == f"archive/{name}/{old_sha}.csv"
+        assert wh.manifest()[name]["sha256"] == sha256_file(store_file)
+
+    def test_archive_keeps_one_file_per_version(self, synced_root):
+        wh = Warehouse(synced_root)
+        name = "jw_fall23_usage"
+        store_file = synced_root / "store" / f"{name}.csv"
+        first = store_file.read_bytes()
+        second = first + b"true,91.00,<25\n"
+        for data in (second, first, second):
+            store_file.write_bytes(data)
+            (record,) = run_cycle(synced_root).updated
+            assert (synced_root / record.archived_to).read_bytes() != data
+        archive = wh.archive_dir / name
+        assert sorted(p.name for p in archive.iterdir()) == sorted(
+            f"{hashlib.sha256(data).hexdigest()}.csv" for data in (first, second)
+        )
+        for data in (first, second):
+            digest = hashlib.sha256(data).hexdigest()
+            assert (archive / f"{digest}.csv").read_bytes() == data
+
+
 class TestSelection:
     def test_exact_selection(self, synced_root):
         updates = [
@@ -263,7 +319,7 @@ class TestRunCycle:
         assert [u.dataset for u in report.updated] == ["sami_fall24_usage"]
         assert report.selected_payloads == ["sami_fall24.json"]
         assert report.updated[0].archived_to is not None
-        refreshed = json.loads(
+        refreshed = strict_loads(
             (synced_root / "results" / "sami" / "sami_fall24_ttest_power.json")
             .read_text(encoding="utf-8")
         )
@@ -273,7 +329,7 @@ class TestRunCycle:
         report = run_cycle(domain_root)
         runs = list((domain_root / "runs").glob("*.json"))
         assert len(runs) == 1
-        stored = json.loads(runs[0].read_text(encoding="utf-8"))
+        stored = strict_loads(runs[0].read_text(encoding="utf-8"))
         assert stored["scanned_at"] == report.scanned_at
         assert len(stored["updated"]) == 3
 
@@ -384,7 +440,7 @@ class TestRunCycle:
         (stored,) = (domain_root / "runs").glob("*.json")
         statuses = {
             o["payload_file"]: o["status"]
-            for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+            for o in strict_loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
         }
         assert statuses["bad.json"] == "parse_failed"
 
@@ -474,7 +530,7 @@ class TestParseOnce:
         warehouse = Warehouse(domain_root)
         for outcome in report.run_outcomes:
             for key in outcome.result_keys:
-                doc = json.loads(
+                doc = strict_loads(
                     (domain_root / "results" / key).read_text(encoding="utf-8")
                 )
                 name = doc["dataset"]["name"]
@@ -525,7 +581,7 @@ class TestBrokenDataset:
         (stored,) = (domain_root / "runs").glob("*.json")
         statuses = {
             o["payload_file"]: o["status"]
-            for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+            for o in strict_loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
         }
         assert statuses["vera_summer23.json"] == "error"
 
@@ -538,7 +594,7 @@ class TestBrokenDataset:
         assert by_file["jw_fall23.json"].status == "ok"
         assert by_file["sami_fall24.json"].status == "ok"
         for name in ("vera_summer23_ttest", "vera_summer23_ttest_power"):
-            doc = json.loads(
+            doc = strict_loads(
                 (domain_root / "results" / "vera" / f"{name}.json").read_text(encoding="utf-8")
             )
             errors = {e["dependent"]: e["error"] for e in doc["results"] if "error" in e}
@@ -549,7 +605,7 @@ class TestBrokenDataset:
         (stored,) = (domain_root / "runs").glob("*.json")
         statuses = {
             o["payload_file"]: o["status"]
-            for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+            for o in strict_loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
         }
         assert statuses["vera_summer23.json"] == "partial"
 
@@ -565,7 +621,7 @@ class TestBrokenDataset:
         results = domain_root / "results" / "vera"
 
         def stored_doc(name):
-            return json.loads((results / f"{name}.json").read_text(encoding="utf-8"))
+            return strict_loads((results / f"{name}.json").read_text(encoding="utf-8"))
 
         power = stored_doc("vera_summer23_ttest_power")
         errors = {e["dependent"]: e["error"] for e in power["results"] if "error" in e}
@@ -579,7 +635,7 @@ class TestBrokenDataset:
         (stored,) = (domain_root / "runs").glob("*.json")
         stored_statuses = {
             o["payload_file"]: o["status"]
-            for o in json.loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+            for o in strict_loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
         }
         assert stored_statuses == statuses
 

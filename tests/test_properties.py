@@ -315,10 +315,12 @@ class TestExecutePayloadProperties:
         false=[2.0, 2.57e-278, 5e-324], true=[1e154, 1e154], alternative="two_sided"
     )
     @example(false=[], true=[], alternative="less")
+    @example(false=[1e200, 1e200], true=[0.0, 1e-150], alternative="two_sided")
     @settings(max_examples=200, deadline=None)
     def test_no_statistic_raises(self, false, true, alternative, tmp_path_factory):
         """Every dependent gets a result or an error entry, whatever
-        finite cells its column holds; no exception leaves the payload."""
+        finite cells its column holds; no exception leaves the payload,
+        and every document is valid JSON, without NaN or Infinity."""
         from a4l_analytics.dataset import StagedRun
         from a4l_analytics.runner import STATISTICS, execute_payload
 
@@ -349,9 +351,10 @@ class TestExecutePayloadProperties:
                 }
             )
         )
-        staged = StagedRun(run_id="r", staged={"d": path}, versions={"d": None})
+        staged = StagedRun(run_id="r", staged={"d": path}, versions={"d": "v1"})
         docs = execute_payload(payload, staged)
         assert [d.statistic for d in docs] == list(STATISTICS)
         for doc in docs:
             (entry,) = doc.results
             assert "kind" in entry or set(entry["error"]) == {"kind", "message"}
+            json.dumps(doc.to_dict(), allow_nan=False)

@@ -17,6 +17,7 @@ from a4l_analytics.runner import (
     write_result,
 )
 from conftest import build_root, jw_payload, sami_payload
+from schema_check import strict_loads
 
 
 def dataset_from(tmp_path, text, name="d"):
@@ -314,7 +315,7 @@ class TestSharedViews:
         n = len(GROUPED_STATISTICS)
         three_levels = {json.dumps(d.results) for d in docs[:n]}
         not_numeric = {json.dumps(d.results) for d in docs[n:]}
-        assert [json.loads(e) for e in three_levels] == [
+        assert [strict_loads(e) for e in three_levels] == [
             [
                 {
                     "dependent": "score",
@@ -326,7 +327,7 @@ class TestSharedViews:
                 }
             ]
         ]
-        assert [json.loads(e) for e in not_numeric] == [
+        assert [strict_loads(e) for e in not_numeric] == [
             [
                 {
                     "dependent": "label",
@@ -381,7 +382,7 @@ class TestWriteResult:
         doc = self._doc()
         doc.run_id = "other"
         write_result(doc, out, tmp_path)
-        stored = json.loads(
+        stored = strict_loads(
             (tmp_path / "sami" / "sami_fall24_ttest.json").read_text(encoding="utf-8")
         )
         assert stored["run_id"] == "other"
@@ -392,9 +393,20 @@ class TestWriteResult:
     def test_document_shape(self, tmp_path):
         out = OutputSpec(bucket="sami", prefix="")
         write_result(self._doc(), out, tmp_path)
-        stored = json.loads(
+        stored = strict_loads(
             (tmp_path / "sami" / "sami_fall24_ttest.json").read_text(encoding="utf-8")
         )
         assert stored["schema_version"] == 1
         assert stored["dataset"] == {"name": "sami_fall24_usage", "sha256": "0" * 64}
         assert stored["groups"] == {"false": "group1", "true": "group2"}
+
+    def test_strict_reader_rejects_a_non_finite_number(self, tmp_path):
+        # write_result keeps json.dumps' default, so a non-finite value
+        # reaching a document is written; the tests' reader catches it
+        doc = self._doc()
+        doc.results = [{"dependent": "x", "t": float("inf")}]
+        write_result(doc, OutputSpec(bucket="sami", prefix=""), tmp_path)
+        text = (tmp_path / "sami" / "sami_fall24_ttest.json").read_text(encoding="utf-8")
+        assert '"t": Infinity' in text
+        with pytest.raises(ValueError, match="Infinity is not a JSON number"):
+            strict_loads(text)

@@ -17,6 +17,18 @@ class TestWelchTTest:
                 descriptives([1e200, 1.0, 2.0]), descriptives([1.0, 2.0, 3.0])
             )
 
+    @pytest.mark.parametrize(
+        "g1, g2",
+        [
+            ([1e200, 1e200], [0.0, 1e-150]),
+            ([0.0, 1e-150], [-1e200, -1e200]),
+        ],
+    )
+    def test_overflowing_t_is_degenerate(self, g1, g2):
+        # finite summaries whose t is not finite, which JSON cannot hold
+        with pytest.raises(DegenerateDataError, match="t statistic overflows"):
+            welch_ttest(descriptives(g1), descriptives(g2))
+
     def test_identical_groups(self):
         result = welch_ttest(descriptives([1.0, 2.0, 3.0]), descriptives([1.0, 2.0, 3.0]))
         assert result.t == 0.0

@@ -9,6 +9,7 @@ nothing. A lock file makes cycles mutually exclusive; dataset hashes
 """
 
 import fcntl
+import hashlib
 import json
 import os
 import time
@@ -126,7 +127,8 @@ def sync_warehouse(
     """Pull changed store files into the warehouse, archiving old bytes.
 
     For every dataset whose store hash differs from the manifest (or is
-    absent from it), the existing warehouse file is hard-linked as
+    absent from it), and whose bytes still differ when read for the copy,
+    the existing warehouse file is hard-linked as
     archive/<name>/<old sha256>.csv, then the new bytes replace it in one
     step, so a reader of warehouse/<name>.csv always sees a whole
     version. The manifest is rewritten atomically at the end. An archive
@@ -142,8 +144,13 @@ def sync_warehouse(
     updates: List[UpdateRecord] = []
 
     for name in sorted(scan):
-        new_sha = scan[name]
         entry = manifest.get(name)
+        if entry is not None and entry["sha256"] == scan[name]:
+            continue
+        # the store file may have been rewritten since the scan, so the
+        # hash recorded is that of the bytes copied
+        data = (store_dir / f"{name}.csv").read_bytes()
+        new_sha = hashlib.sha256(data).hexdigest()
         if entry is not None and entry["sha256"] == new_sha:
             continue
 
@@ -158,7 +165,6 @@ def sync_warehouse(
             record.archived_to = str(archive_path.relative_to(warehouse.root))
 
         warehouse.dir.mkdir(parents=True, exist_ok=True)
-        data = (store_dir / f"{name}.csv").read_bytes()
         atomic_write(target, data)
         manifest[name] = {
             "sha256": new_sha,

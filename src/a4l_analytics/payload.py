@@ -19,8 +19,9 @@ from typing import Iterable, List, Mapping, Optional, Set, Tuple, Union
 from .errors import PayloadError, PayloadParseError
 from .runner import GROUPING_KINDS, STATISTICS
 
-DOMAIN_RE = re.compile(r"^[a-z][a-z0-9_]*$")
-RESULT_FILE_RE = re.compile(r"^[a-z0-9_]+$")
+# Matched with fullmatch: "$" in a pattern also matches before a final "\n".
+DOMAIN_RE = re.compile(r"[a-z][a-z0-9_]*")
+RESULT_FILE_RE = re.compile(r"[a-z0-9_]+")
 
 DEFAULT_ALPHA = 0.05
 
@@ -179,9 +180,11 @@ def _parse_request(obj, path, problems) -> Optional[AnalysisRequest]:
             _fail(problems, path, "dependent", message)
         dependent = tuple(cleaned)
 
-    if alpha is not None and not 0.0 < float(alpha) < 1.0:
+    # compared before float(): an int compares exactly, and a huge one
+    # would overflow the conversion
+    if alpha is not None and not 0 < alpha < 1:
         _fail(problems, path, "alpha", "must lie strictly between 0 and 1", repr(alpha))
-    if result_file is not None and not RESULT_FILE_RE.match(result_file):
+    if result_file is not None and not RESULT_FILE_RE.fullmatch(result_file):
         message = "must match [a-z0-9_]+ (no path separators)"
         _fail(problems, path, "result_file", message, repr(result_file))
 
@@ -204,10 +207,15 @@ def _parse_output(obj, path, problems) -> Optional[OutputSpec]:
 
     if bucket is not None and not bucket:
         _fail(problems, path, "bucket", "must be non-empty")
+    elif bucket is not None and (
+        bucket in (".", "..") or "/" in bucket or "\0" in bucket
+    ):
+        message = "must be one directory name: not '.' or '..', no '/' or NUL"
+        _fail(problems, path, "bucket", message, repr(bucket))
     if prefix:
         segments = prefix.split("/")
-        if ".." in segments or prefix.startswith("/"):
-            message = "must be a relative path without '..' segments"
+        if ".." in segments or prefix.startswith("/") or "\0" in prefix:
+            message = "must be a relative path without '..' segments or NUL"
             _fail(problems, path, "prefix", message, repr(prefix))
     if len(problems) > start:
         return None
@@ -220,8 +228,9 @@ def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
     Defaults (alternative=two_sided, alpha=0.05) are applied here, so
     serializing the result and re-parsing yields an equal value.
     Raises PayloadParseError for bytes that are not UTF-8 or malformed
-    JSON (with line/column) and PayloadError carrying field-path
-    diagnostics for structural problems, including unknown fields.
+    JSON (with line/column) or JSON beyond json.loads' integer-digit or
+    nesting limits, and PayloadError carrying field-path diagnostics for
+    structural problems, including unknown fields.
     """
     if isinstance(raw, bytes):
         try:
@@ -242,6 +251,9 @@ def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer beyond the int-digits limit, or nesting too deep
+        raise PayloadParseError(f"unparseable JSON: {exc}") from exc
 
     problems: List[Diagnostic] = []
     if not isinstance(obj, dict):
@@ -252,7 +264,7 @@ def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
 
     version, domain, analyses, output = _read(obj, "", _PAYLOAD_FIELDS, problems)
 
-    if domain is not None and not DOMAIN_RE.match(domain):
+    if domain is not None and not DOMAIN_RE.fullmatch(domain):
         _fail(problems, "", "domain", "must match [a-z][a-z0-9_]*", repr(domain))
 
     requests: List[AnalysisRequest] = []

@@ -32,7 +32,7 @@ from .stats import (
     welch_power,
     welch_ttest,
 )
-from .stats.summaries import DescriptivesResult, GroupSummary
+from .stats.summaries import DescriptivesResult, Document, GroupSummary
 
 if TYPE_CHECKING:
     from .payload import AnalysisPayload, AnalysisRequest, OutputSpec
@@ -63,39 +63,23 @@ class StoredResultKey:
         return "/".join(parts)
 
 
-@dataclass
-class ResultDocument:
-    """Serialized output of one analysis request."""
+@dataclass(kw_only=True)
+class ResultDocument(Document):
+    """Serialized output of one analysis request; its fields are the
+    document's keys, in order."""
 
+    schema_version: int = RESULT_SCHEMA_VERSION
     domain: str
     statistic: str
-    dataset_name: str
-    dataset_sha256: str
+    dataset: Dict[str, str]  # {"name": ..., "sha256": ...}
     independent: str
     alternative: str
     alpha: float
-    ordering: Optional[Dict[str, str]]
+    groups: Optional[Dict[str, str]]
     results: List[dict]
     result_file: str
     run_id: str
     generated_at: str
-    schema_version: int = RESULT_SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "domain": self.domain,
-            "statistic": self.statistic,
-            "dataset": {"name": self.dataset_name, "sha256": self.dataset_sha256},
-            "independent": self.independent,
-            "alternative": self.alternative,
-            "alpha": self.alpha,
-            "groups": self.ordering,
-            "results": self.results,
-            "result_file": self.result_file,
-            "run_id": self.run_id,
-            "generated_at": self.generated_at,
-        }
 
     def has_errors(self) -> bool:
         return any("error" in entry for entry in self.results)
@@ -266,7 +250,7 @@ def _execute_request(
     generated_at: str,
 ) -> ResultDocument:
     compute = STATISTICS[req.statistic].compute
-    ordering: Optional[Dict[str, str]] = None
+    groups: Optional[Dict[str, str]] = None
     if compute is None:
         row = ds.column(req.independent)
         row_cells = row.rendered()
@@ -290,7 +274,7 @@ def _execute_request(
                 # split_groups raises the same error again for every dependent
                 pass
         if index is not None:
-            ordering = index.ordering()
+            groups = index.ordering()
 
         def result_for(dep: str):
             key = (req.independent, dep)
@@ -315,12 +299,11 @@ def _execute_request(
     return ResultDocument(
         domain=payload.domain,
         statistic=req.statistic,
-        dataset_name=ds.name,
-        dataset_sha256=ds.version,
+        dataset={"name": ds.name, "sha256": ds.version},
         independent=req.independent,
         alternative=req.alternative.value,
         alpha=req.alpha,
-        ordering=ordering,
+        groups=groups,
         results=entries,
         result_file=req.result_file,
         run_id=run_id,

@@ -1,13 +1,15 @@
 """Cross-tabulation of two categorical or boolean columns."""
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import ClassVar, List, Optional, Sequence
 
 from ..errors import ArgumentError
+from .summaries import Document
 
 
 @dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(Document):
+    kind: ClassVar[str] = "contingency_table"
     row_variable: str
     col_variable: str
     row_levels: List[str]
@@ -16,19 +18,6 @@ class ContingencyTable:
     row_totals: List[int]
     col_totals: List[int]
     grand_total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "contingency_table",
-            "row_variable": self.row_variable,
-            "col_variable": self.col_variable,
-            "row_levels": self.row_levels,
-            "col_levels": self.col_levels,
-            "counts": self.counts,
-            "row_totals": self.row_totals,
-            "col_totals": self.col_totals,
-            "grand_total": self.grand_total,
-        }
 
 
 def _levels(cells: Sequence[Optional[str]]) -> List[str]:

@@ -10,18 +10,20 @@ group1 tends to produce smaller values than group2.
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import ClassVar, Sequence, Tuple
 
 from ..errors import DegenerateDataError, InsufficientDataError
 from ._backend import kernels
 from .special import normal_cdf
+from .summaries import Document
 from .welch import GREATER, LESS, TWO_SIDED
 
 EXACT_SIZE_LIMIT = 12
 
 
 @dataclass(frozen=True)
-class MannWhitneyResult:
+class MannWhitneyResult(Document):
+    kind: ClassVar[str] = "mann_whitney_u"
     dependent: str
     u1: float
     u2: float
@@ -31,20 +33,6 @@ class MannWhitneyResult:
     method: str  # "exact" | "normal_approx"
     tie_correction_applied: bool
     alternative: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mann_whitney_u",
-            "dependent": self.dependent,
-            "u1": self.u1,
-            "u2": self.u2,
-            "n1": self.n1,
-            "n2": self.n2,
-            "p_value": self.p_value,
-            "method": self.method,
-            "tie_correction_applied": self.tie_correction_applied,
-            "alternative": self.alternative,
-        }
 
 
 def _rank_walk(

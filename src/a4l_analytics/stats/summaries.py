@@ -1,39 +1,54 @@
-"""Descriptive summaries of numeric samples."""
+"""Descriptive summaries of numeric samples, and the encoder of every
+result document."""
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from functools import cache
+from typing import ClassVar, Optional, Sequence, Tuple
 
 from ..errors import DegenerateDataError
 
 
+@cache
+def _layout(cls: type) -> Tuple[Optional[str], Tuple[str, ...]]:
+    return getattr(cls, "kind", None), tuple(f.name for f in fields(cls))
+
+
+class Document:
+    """Base of every dataclass that is written as a JSON document or entry.
+
+    The document is ``kind``, where the class declares one, followed by
+    every dataclass field in declaration order; a field holding another
+    Document becomes that one's document. So a class's fields are its
+    document keys, in order, and docs/result_schema.json lists the same.
+    """
+
+    def to_dict(self) -> dict:
+        kind, names = _layout(type(self))
+        doc = {} if kind is None else {"kind": kind}
+        for name in names:
+            value = getattr(self, name)
+            doc[name] = value.to_dict() if isinstance(value, Document) else value
+        return doc
+
+
 @dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(Document):
     """Count, mean and sample standard deviation of one group.
 
-    ``mean`` is None when the group is empty; ``sd`` is None when fewer
-    than two observations are present.
+    ``mean`` is None when the group is empty; ``sd`` and ``variance`` are
+    None when fewer than two observations are present.
     """
 
     label: str
     n: int
     mean: Optional[float]
     sd: Optional[float]
+    variance: Optional[float] = field(init=False)
 
-    @property
-    def variance(self) -> Optional[float]:
-        if self.sd is None:
-            return None
-        return self.sd * self.sd
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "mean": self.mean,
-            "sd": self.sd,
-            "variance": self.variance,
-        }
+    def __post_init__(self) -> None:
+        variance = None if self.sd is None else self.sd * self.sd
+        object.__setattr__(self, "variance", variance)
 
 
 def descriptives(values: Sequence[Optional[float]], label: str = "all") -> GroupSummary:
@@ -65,23 +80,16 @@ def descriptives(values: Sequence[Optional[float]], label: str = "all") -> Group
             "the sum of squared deviations from the mean overflows the float range"
         )
     # sd is at most the rounded sqrt of the largest float, whose square
-    # is finite, so the variance property cannot overflow either
+    # is finite, so the variance cannot overflow either
     sd = math.sqrt(ss / (n - 1))
     return GroupSummary(label=label, n=n, mean=mean, sd=sd)
 
 
 @dataclass(frozen=True)
-class DescriptivesResult:
+class DescriptivesResult(Document):
     """Per-group descriptives of one dependent variable."""
 
+    kind: ClassVar[str] = "descriptives"
     dependent: str
     group1: GroupSummary
     group2: GroupSummary
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "descriptives",
-            "dependent": self.dependent,
-            "group1": self.group1.to_dict(),
-            "group2": self.group2.to_dict(),
-        }

@@ -13,11 +13,11 @@ was actually run.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 from ..errors import DegenerateDataError, InsufficientDataError
 from .special import noncentral_t_cdf, student_t_cdf, student_t_quantile
-from .summaries import GroupSummary
+from .summaries import Document, GroupSummary
 
 TWO_SIDED = "two_sided"
 LESS = "less"
@@ -25,7 +25,8 @@ GREATER = "greater"
 
 
 @dataclass(frozen=True)
-class WelchResult:
+class WelchResult(Document):
+    kind: ClassVar[str] = "welch_ttest"
     dependent: str
     group1: GroupSummary
     group2: GroupSummary
@@ -35,22 +36,10 @@ class WelchResult:
     alternative: str
     alpha: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "welch_ttest",
-            "dependent": self.dependent,
-            "group1": self.group1.to_dict(),
-            "group2": self.group2.to_dict(),
-            "t": self.t,
-            "df": self.df,
-            "p_value": self.p_value,
-            "alternative": self.alternative,
-            "alpha": self.alpha,
-        }
-
 
 @dataclass(frozen=True)
-class PowerResult:
+class PowerResult(Document):
+    kind: ClassVar[str] = "welch_power"
     dependent: str
     noncentrality: float
     df: float
@@ -58,18 +47,6 @@ class PowerResult:
     power: float
     alpha: float
     alternative: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "welch_power",
-            "dependent": self.dependent,
-            "noncentrality": self.noncentrality,
-            "df": self.df,
-            "critical_value": self.critical_value,
-            "power": self.power,
-            "alpha": self.alpha,
-            "alternative": self.alternative,
-        }
 
 
 def _welch_parts(g1: GroupSummary, g2: GroupSummary) -> Tuple[float, float]:

@@ -316,6 +316,26 @@ def huge_vera_group(root: Path) -> None:
     store.write_text(_csv_text(rows[0], rows[1:]), encoding="utf-8")
 
 
+def hostile_payloads():
+    """sami's payload text with a number or a nesting depth beyond what
+    float() or json.loads take, by name."""
+    doc = sami_payload()
+    doc["analyses"][0]["alpha"] = 10**400  # float() overflows
+    huge_alpha = json.dumps(doc)
+    text = json.dumps(sami_payload())
+    return {
+        "huge_alpha": huge_alpha,
+        # beyond the int-digits limit of json.loads
+        "huge_integer": text.replace(
+            '"payload_version": 1', '"payload_version": 1' + "0" * 5000
+        ),
+        # beyond the recursion limit of json.loads
+        "deep_nesting": text.replace(
+            '"payload_version": 1', '"payload_version": ' + "[" * 100_000 + "]" * 100_000
+        ),
+    }
+
+
 @pytest.fixture
 def parses(monkeypatch):
     """Dataset name of every real CSV parse made through dataset.load_csv."""

@@ -11,6 +11,7 @@ from conftest import (
     DOMAIN_FILES,
     build_root,
     huge_vera_cell,
+    hostile_payloads,
     huge_vera_group,
     sami_payload,
 )
@@ -161,6 +162,15 @@ class TestUndecodablePayload:
         out = capsys.readouterr().out
         assert "bad.json -> (unparseable)" in out
         assert "sami_fall24.json -> sami_fall24_usage" in out
+
+
+@pytest.mark.parametrize("hostile", sorted(hostile_payloads()))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_hostile_payload_exits_2(synced_root, tmp_path, capsys, command, hostile):
+    bad = tmp_path / "bad.json"
+    bad.write_text(hostile_payloads()[hostile], encoding="utf-8")
+    assert run_cli("--root", str(synced_root), command, str(bad)) == 2
+    assert capsys.readouterr().out.startswith("parse error")
 
 
 class TestRunJson:

@@ -21,7 +21,14 @@ from a4l_analytics.orchestrator import (
     sync_warehouse,
     watch,
 )
-from conftest import add_domain, build_root, huge_vera_cell, huge_vera_group, xyz_csv
+from conftest import (
+    add_domain,
+    build_root,
+    hostile_payloads,
+    huge_vera_cell,
+    huge_vera_group,
+    xyz_csv,
+)
 from schema_check import strict_loads
 
 
@@ -182,6 +189,41 @@ class TestSyncWarehouse:
         assert record.old_sha256 == old_sha
         assert record.archived_to == f"archive/{name}/{old_sha}.csv"
         assert wh.manifest()[name]["sha256"] == sha256_file(store_file)
+
+    def test_records_the_hash_of_the_bytes_copied(self, synced_root):
+        wh = Warehouse(synced_root)
+        name = "jw_fall23_usage"
+        store_file = synced_root / "store" / f"{name}.csv"
+        first = store_file.read_bytes()
+        store_file.write_bytes(first + b"true,91.00,<25\n")
+        stale_scan = scan_store(synced_root / "store")
+        store_file.write_bytes(first + b"false,12.00,<25\n")
+        lock = self._locked(synced_root)
+        try:
+            (record,) = sync_warehouse(stale_scan, wh, lock)
+        finally:
+            lock.release()
+        copied = sha256_file(wh.dataset_path(name))
+        assert copied == sha256_file(store_file) != stale_scan[name]
+        assert record.new_sha256 == copied
+        assert wh.manifest()[name]["sha256"] == copied
+
+    def test_store_file_restored_since_the_scan_is_not_an_update(self, synced_root):
+        wh = Warehouse(synced_root)
+        name = "jw_fall23_usage"
+        store_file = synced_root / "store" / f"{name}.csv"
+        first = store_file.read_bytes()
+        before = wh.manifest_path.read_bytes()
+        store_file.write_bytes(first + b"true,91.00,<25\n")
+        stale_scan = scan_store(synced_root / "store")
+        store_file.write_bytes(first)
+        lock = self._locked(synced_root)
+        try:
+            assert sync_warehouse(stale_scan, wh, lock) == []
+        finally:
+            lock.release()
+        assert wh.manifest_path.read_bytes() == before
+        assert not (wh.archive_dir / name).exists()
 
     def test_archive_keeps_one_file_per_version(self, synced_root):
         wh = Warehouse(synced_root)
@@ -443,6 +485,24 @@ class TestRunCycle:
             for o in strict_loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
         }
         assert statuses["bad.json"] == "parse_failed"
+
+    @pytest.mark.parametrize("hostile", sorted(hostile_payloads()))
+    def test_hostile_payload_fails_only_itself(self, domain_root, hostile):
+        bad = domain_root / "payloads" / "bad.json"
+        bad.write_text(hostile_payloads()[hostile], encoding="utf-8")
+        report = run_cycle(domain_root)
+        by_file = {o.payload_file: o for o in report.run_outcomes}
+        assert by_file["bad.json"].status == "parse_failed"
+        assert len(report.selected_payloads) == 3
+        assert all(by_file[name].status == "ok" for name in report.selected_payloads)
+        (stored,) = (domain_root / "runs").glob("*.json")
+        statuses = {
+            o["payload_file"]: o["status"]
+            for o in strict_loads(stored.read_text(encoding="utf-8"))["run_outcomes"]
+        }
+        assert statuses["bad.json"] == "parse_failed"
+        # and on every later cycle, idle ones included
+        assert run_cycle(domain_root).run_outcomes == [by_file["bad.json"]]
 
     def test_xyz_domain_via_payload_only(self, synced_root):
         add_domain(synced_root, "xyz")

@@ -1,6 +1,7 @@
 """Payload parsing, serialization, defaults and validation."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,11 @@ from a4l_analytics.payload import (
     validate_payload,
 )
 from a4l_analytics.runner import STATISTICS
+from conftest import hostile_payloads
 
 DOCS = Path(__file__).parent.parent / "docs"
+BAD_BUCKETS = ["../../escaped", "..", ".", "a/b", "/abs", "a\0b", ""]
+BAD_PREFIXES = ["a/../b", "a/..", "..", "/abs", "a\0b"]
 
 SAMI_POWER_PAYLOAD = {
     "payload_version": 1,
@@ -172,14 +176,14 @@ class TestParse:
         with pytest.raises(PayloadError, match="alpha"):
             parse_payload(_dump(doc))
 
-    @pytest.mark.parametrize("bad", ["with/slash", "UPPER", "dots.bad", ""])
+    @pytest.mark.parametrize("bad", ["with/slash", "UPPER", "dots.bad", "", "r\n"])
     def test_result_file_pattern(self, bad):
         doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
         doc["analyses"][0]["result_file"] = bad
         with pytest.raises(PayloadError, match="result_file"):
             parse_payload(_dump(doc))
 
-    @pytest.mark.parametrize("bad", ["Sami", "9lives", "has-dash", ""])
+    @pytest.mark.parametrize("bad", ["Sami", "9lives", "has-dash", "", "sami\n"])
     def test_domain_pattern(self, bad):
         doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
         doc["domain"] = bad
@@ -191,6 +195,21 @@ class TestParse:
         doc["output"]["prefix"] = "../escape"
         with pytest.raises(PayloadError, match="prefix"):
             parse_payload(_dump(doc))
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("bucket", bad) for bad in BAD_BUCKETS] + [("prefix", bad) for bad in BAD_PREFIXES],
+    )
+    def test_output_path_stays_below_results(self, field, bad):
+        doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
+        doc["output"][field] = bad
+        with pytest.raises(PayloadError, match=f"output.{field}"):
+            parse_payload(_dump(doc))
+
+    @pytest.mark.parametrize("name", sorted(hostile_payloads()))
+    def test_hostile_numbers_and_nesting_rejected(self, name):
+        with pytest.raises(PayloadError):
+            parse_payload(hostile_payloads()[name])
 
     def test_all_requests_diagnosed(self):
         doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
@@ -323,3 +342,21 @@ def test_schema_enums_list_the_statistic_table():
     request = payload_schema["$defs"]["analysis_request"]
     assert sorted(request["properties"]["statistic"]["enum"]) == sorted(STATISTICS)
     assert sorted(result_schema["properties"]["statistic"]["enum"]) == sorted(STATISTICS)
+
+
+@pytest.mark.parametrize(
+    "field, bad, good",
+    [
+        ("bucket", BAD_BUCKETS, ["sami", "p01.v2", "...", ".hidden"]),
+        ("prefix", BAD_PREFIXES, ["", "w0", "fall/2024", "a/..b", "...", "a/"]),
+    ],
+)
+def test_schema_output_patterns_match_the_parser(field, bad, good):
+    payload_schema = json.loads((DOCS / "payload_schema.json").read_text())
+    pattern = payload_schema["properties"]["output"]["properties"][field]["pattern"]
+    assert [value for value in bad if re.search(pattern, value)] == []
+    assert [value for value in good if not re.search(pattern, value)] == []
+    for value in good:
+        doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
+        doc["output"][field] = value
+        assert getattr(parse_payload(_dump(doc)).output, field) == value

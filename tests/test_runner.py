@@ -1,6 +1,7 @@
 """Payload execution, group splitting, result documents."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -16,8 +17,24 @@ from a4l_analytics.runner import (
     split_groups,
     write_result,
 )
+from a4l_analytics.stats import (
+    ContingencyTable,
+    DescriptivesResult,
+    GroupSummary,
+    MannWhitneyResult,
+    PowerResult,
+    WelchResult,
+)
 from conftest import build_root, jw_payload, sami_payload
-from schema_check import strict_loads
+from schema_check import RESULT_SCHEMA, strict_loads
+
+RESULT_TYPES = [
+    WelchResult,
+    PowerResult,
+    MannWhitneyResult,
+    ContingencyTable,
+    DescriptivesResult,
+]
 
 
 def dataset_from(tmp_path, text, name="d"):
@@ -138,7 +155,7 @@ class TestExecutePayload:
         assert len(welch_doc.results) == 1
         assert welch_doc.results[0]["kind"] == "welch_ttest"
         assert welch_doc.results[0]["dependent"] == "course_final_score"
-        assert welch_doc.ordering == {"false": "group1", "true": "group2"}
+        assert welch_doc.groups == {"false": "group1", "true": "group2"}
 
     def test_sami_power_has_four_results(self, domain_root):
         wh = _staged_root(domain_root)
@@ -155,8 +172,8 @@ class TestExecutePayload:
         staged = fetch_to_staging(sorted(payload.datasets()), wh)
         docs = execute_payload(payload, staged)
         staged_hash = sha256_file(staged.staged["jw_fall23_usage"])
-        assert docs[0].dataset_sha256 == staged_hash
-        assert docs[0].dataset_sha256 == wh.manifest()["jw_fall23_usage"]["sha256"]
+        assert docs[0].dataset["sha256"] == staged_hash
+        assert docs[0].dataset["sha256"] == wh.manifest()["jw_fall23_usage"]["sha256"]
 
     def test_degenerate_dependent_recorded_not_fatal(self, tmp_path):
         root = tmp_path / "root"
@@ -350,12 +367,11 @@ class TestWriteResult:
         return ResultDocument(
             domain="sami",
             statistic="get_welch_ttest",
-            dataset_name="sami_fall24_usage",
-            dataset_sha256="0" * 64,
+            dataset={"name": "sami_fall24_usage", "sha256": "0" * 64},
             independent="used_sami",
             alternative="less",
             alpha=0.05,
-            ordering={"false": "group1", "true": "group2"},
+            groups={"false": "group1", "true": "group2"},
             results=[],
             result_file=result_file,
             run_id="abc",
@@ -410,3 +426,37 @@ class TestWriteResult:
         assert '"t": Infinity' in text
         with pytest.raises(ValueError, match="Infinity is not a JSON number"):
             strict_loads(text)
+
+
+class TestDocumentKeys:
+    """Each result class's fields are its document keys, in the order
+    docs/result_schema.json lists them."""
+
+    @pytest.mark.parametrize("cls", RESULT_TYPES, ids=lambda cls: cls.__name__)
+    def test_result_fields(self, cls):
+        properties = RESULT_SCHEMA["$defs"][cls.kind]["properties"]
+        assert ["kind", *(f.name for f in fields(cls))] == list(properties)
+
+    def test_every_result_kind_has_a_class(self):
+        refs = RESULT_SCHEMA["properties"]["results"]["items"]["oneOf"]
+        kinds = [ref["$ref"].rsplit("/", 1)[1] for ref in refs]
+        assert [cls.kind for cls in RESULT_TYPES] + ["dependent_error"] == kinds
+
+    def test_group_summary_fields(self):
+        properties = RESULT_SCHEMA["$defs"]["group_summary"]["properties"]
+        assert [f.name for f in fields(GroupSummary)] == list(properties)
+        assert not hasattr(GroupSummary, "kind")
+
+    def test_result_document_fields(self):
+        assert [f.name for f in fields(ResultDocument)] == list(
+            RESULT_SCHEMA["properties"]
+        )
+
+    def test_written_documents_follow_the_schema_order(self, synced_root):
+        for path in sorted((synced_root / "results").rglob("*.json")):
+            doc = strict_loads(path.read_text(encoding="utf-8"))
+            assert list(doc) == list(RESULT_SCHEMA["properties"])
+            for entry in doc["results"]:
+                assert "error" not in entry
+                properties = RESULT_SCHEMA["$defs"][entry["kind"]]["properties"]
+                assert list(entry) == list(properties)

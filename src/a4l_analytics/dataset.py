@@ -4,15 +4,22 @@ Datasets are RFC 4180 CSV files with a header row. Column kinds are
 inferred deterministically (numeric, then boolean, then categorical) and
 the empty string is a missing cell. Dataset identity is the SHA-256 of
 the file bytes, so change detection never relies on timestamps.
+
+Each version is parsed once per warehouse: its typed columns are kept in
+``columns/<sha256>.marshal`` beside the CSV and loaded from there after.
+``marshal`` is no safer than ``pickle`` on hostile bytes; the warehouse
+is written only by the pipeline and trusted as its manifest is.
 """
 
 import csv
 import hashlib
 import io
 import json
+import marshal
 import math
 import os
 import re
+import sys
 import uuid
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -24,6 +31,7 @@ from .errors import DatasetError, ManifestError, UnknownDatasetError
 KIND_NUMERIC = "numeric"
 KIND_BOOLEAN = "boolean"
 KIND_CATEGORICAL = "categorical"
+_KINDS = (KIND_NUMERIC, KIND_BOOLEAN, KIND_CATEGORICAL)
 
 # A manifest sha256 also names the dataset's archive file.
 _SHA256_RE = re.compile(r"[0-9a-f]{64}")
@@ -213,13 +221,56 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
     )
 
 
+# The directory beside a dataset's CSV that holds its column files, and
+# the tag that makes a column file readable only by the interpreter
+# version that wrote it.
+COLUMNS_DIR = "columns"
+_COLUMNS_TAG = ("a4l-columns", marshal.version, sys.version_info[:2])
+
+
+def columns_path(path: Union[str, Path], sha256: str) -> Path:
+    """The column file of the version ``sha256`` of the CSV at ``path``."""
+    return Path(path).with_name(COLUMNS_DIR) / f"{sha256}.marshal"
+
+
+def _load_columns(target: Path, name: str, sha256: str) -> Optional[TabularDataset]:
+    """The dataset kept in the column file ``target``, or None when the
+    file is missing, unreadable or not one this interpreter wrote."""
+    try:
+        tag, row_count, columns = marshal.loads(target.read_bytes())
+        if tag != _COLUMNS_TAG or type(row_count) is not int:
+            return None
+        columns = tuple(Column(*col) for col in columns)
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+    for col in columns:
+        if col.kind not in _KINDS or type(col.cells) is not tuple or len(col.cells) != row_count:
+            return None
+    return TabularDataset(name=name, version=sha256, columns=columns, row_count=row_count)
+
+
+def _store_columns(target: Path, ds: TabularDataset) -> None:
+    """Write ``ds``'s columns to ``target``; a warehouse that cannot be
+    written still runs, without the file."""
+    columns = tuple((c.name, c.kind, c.cells) for c in ds.columns)
+    data = marshal.dumps((_COLUMNS_TAG, ds.row_count, columns))
+    try:
+        target.parent.mkdir(exist_ok=True)
+        atomic_write(target, data)
+    except OSError:
+        pass
+
+
 class DatasetCache:
-    """Datasets parsed during one invocation, keyed by (name, sha256).
+    """Datasets loaded during one invocation, keyed by (name, sha256).
 
     One cache serves one cycle or one command, so validation and
-    execution share a parse; it is never shared between invocations.
-    The key's sha256 is the manifest's, which decides reuse only: a
-    dataset's version is always the hash of the bytes it was parsed from.
+    execution share a load; it is never shared between invocations.
+    The key's sha256 is the manifest's. A dataset is loaded from its
+    column file when there is one, and is otherwise parsed; the columns
+    are then kept in the file only when the bytes parsed hash to the key,
+    so a dataset's version is always the hash of the bytes its columns
+    came from.
     """
 
     def __init__(self) -> None:
@@ -229,7 +280,13 @@ class DatasetCache:
         key = (name, sha256)
         ds = self._datasets.get(key)
         if ds is None:
-            ds = self._datasets[key] = load_csv(path, name=name)
+            target = columns_path(path, sha256)
+            ds = _load_columns(target, name, sha256)
+            if ds is None:
+                ds = load_csv(path, name=name)
+                if ds.version == sha256:
+                    _store_columns(target, ds)
+            self._datasets[key] = ds
         return ds
 
     def retain(self, names: Iterable[str]) -> None:
@@ -240,11 +297,11 @@ class DatasetCache:
 
 
 class _ColumnCatalog(Mapping):
-    """Manifest names mapped to column kinds, parsed on first lookup."""
+    """Manifest names mapped to column kinds, loaded on first lookup."""
 
-    def __init__(self, warehouse: "Warehouse", cache: DatasetCache):
+    def __init__(self, warehouse: "Warehouse", cache: DatasetCache, manifest: Dict[str, dict]):
         self._warehouse = warehouse
-        self._manifest = warehouse.manifest()
+        self._manifest = manifest
         self._cache = cache
 
     def __getitem__(self, name: str) -> Dict[str, str]:
@@ -268,12 +325,15 @@ class Warehouse:
     Layout under the pipeline root:
         warehouse/<name>.csv          current version of each dataset
         warehouse/manifest.json       {"<name>": {"sha256", "bytes", "updated"}}
+        warehouse/columns/<sha256>.marshal
+                                      typed columns of each version parsed
         archive/<name>/<sha256>.csv   superseded versions, named by their hash
     """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.dir = self.root / "warehouse"
+        self.columns_dir = self.dir / COLUMNS_DIR
         self.archive_dir = self.root / "archive"
         self.manifest_path = self.dir / "manifest.json"
 
@@ -312,15 +372,18 @@ class Warehouse:
         return self.dir / f"{name}.csv"
 
     def column_catalog(
-        self, cache: Optional[DatasetCache] = None
+        self, cache: Optional[DatasetCache] = None, manifest: Optional[Dict[str, dict]] = None
     ) -> Mapping[str, Dict[str, str]]:
-        """Column-kind catalog for every dataset the manifest lists.
+        """Column-kind catalog for every dataset of ``manifest``, the
+        entries of ``manifest()``, which are read now when not given.
 
-        The manifest is read now; a dataset is parsed (through ``cache``)
-        only when its kinds are looked up, so a lookup can raise
-        DatasetError or OSError for a broken or missing file.
+        A dataset is loaded (through ``cache``) only when its kinds are
+        looked up, so a lookup can raise DatasetError or OSError for a
+        broken or missing file.
         """
-        return _ColumnCatalog(self, DatasetCache() if cache is None else cache)
+        if manifest is None:
+            manifest = self.manifest()
+        return _ColumnCatalog(self, DatasetCache() if cache is None else cache, manifest)
 
 
 @dataclass
@@ -337,13 +400,17 @@ class StagedRun:
     versions: Dict[str, str] = field(default_factory=dict)
 
 
-def fetch_to_staging(names: Iterable[str], warehouse: Warehouse) -> StagedRun:
-    """Resolve the requested dataset names against the warehouse manifest.
+def fetch_to_staging(
+    names: Iterable[str], warehouse: Warehouse, manifest: Optional[Dict[str, dict]] = None
+) -> StagedRun:
+    """Resolve the requested dataset names against ``manifest``, the
+    entries of ``warehouse.manifest()``, which are read now when not given.
 
     Every name must already be in the manifest; after payload validation
     an unknown name here is an internal error.
     """
-    manifest = warehouse.manifest()
+    if manifest is None:
+        manifest = warehouse.manifest()
     run = StagedRun(run_id=uuid.uuid4().hex)
     for name in names:
         if name not in manifest:

@@ -131,7 +131,8 @@ def sync_warehouse(
     the existing warehouse file is hard-linked as
     archive/<name>/<old sha256>.csv, then the new bytes replace it in one
     step, so a reader of warehouse/<name>.csv always sees a whole
-    version. The manifest is rewritten atomically at the end. An archive
+    version. The manifest is rewritten atomically at the end, and then
+    the column files of versions it no longer names are removed. An archive
     file that already exists is kept: after a cycle that failed before
     its manifest write, the warehouse file may already hold the new
     bytes, and they must not be archived as the old version.
@@ -175,6 +176,12 @@ def sync_warehouse(
 
     if updates:
         warehouse.write_manifest(manifest)
+        # column files of versions the manifest no longer names (atomic
+        # writes' temp files do not match the pattern)
+        current = {entry["sha256"] for entry in manifest.values()}
+        for path in warehouse.columns_dir.glob("*.marshal"):
+            if path.stem not in current:
+                path.unlink(missing_ok=True)
     return updates
 
 
@@ -221,12 +228,16 @@ def run_payload_file(
     """Validate, resolve, execute and store one parsed payload.
 
     The one payload path of both ``sync`` and ``a4l run``; ``name`` is
-    the payload's file name. ``cache`` shares parsed datasets with the
-    other payloads of a cycle. A referenced dataset that cannot be read
-    or parsed fails this payload only, with status ``error``.
+    the payload's file name. The manifest is read once, so validation
+    and execution see the same versions. ``cache`` shares loaded
+    datasets with the other payloads of a cycle. A referenced dataset
+    that cannot be read or parsed fails this payload only, with status
+    ``error``.
     """
     try:
-        report = validate_payload(payload, catalog=warehouse.column_catalog(cache))
+        manifest = warehouse.manifest()
+        catalog = warehouse.column_catalog(cache, manifest)
+        report = validate_payload(payload, catalog=catalog)
     except (A4LError, OSError) as exc:
         return RunOutcome(payload_file=name, status="error", detail=str(exc))
     if not report.ok:
@@ -238,7 +249,7 @@ def run_payload_file(
     keys: List[str] = []
     any_errors = False
     try:
-        staged = fetch_to_staging(sorted(payload.datasets()), warehouse)
+        staged = fetch_to_staging(sorted(payload.datasets()), warehouse, manifest)
         for doc in execute_payload(payload, staged, cache):
             key = write_result(doc, payload.output, results_root)
             keys.append(key.as_path())

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Iterable, List, Mapping, Optional, Set, Tuple, Union
 
 from .errors import PayloadError, PayloadParseError
 from .runner import GROUPING_KINDS, STATISTICS
@@ -64,18 +64,31 @@ class AnalysisPayload:
         return {req.dataset for req in self.analyses}
 
 
+class _NoValue:
+    def __repr__(self) -> str:
+        return "NO_VALUE"
+
+
+# The value of a Diagnostic that shows none; None is a payload's null.
+NO_VALUE = _NoValue()
+
+
 @dataclass(frozen=True)
 class Diagnostic:
-    """One validation problem, anchored to a payload field path."""
+    """One validation problem, anchored to a payload field path.
+
+    ``value`` is the offending value as the payload holds it; ``render``
+    quotes it, once.
+    """
 
     path: str
     message: str
-    value: Optional[str] = None
+    value: Any = NO_VALUE
     suggestion: Optional[str] = None
 
     def render(self) -> str:
         parts = [f"{self.path}: {self.message}"]
-        if self.value is not None:
+        if self.value is not NO_VALUE:
             parts.append(f"(got {self.value!r})")
         if self.suggestion is not None:
             parts.append(f"- did you mean {self.suggestion!r}?")
@@ -117,7 +130,7 @@ _OUTPUT_FIELDS = {
 }
 
 
-def _fail(problems, path, key, message, value=None):
+def _fail(problems, path, key, message, value=NO_VALUE):
     problems.append(Diagnostic(f"{path}.{key}" if path else key, message, value))
 
 
@@ -138,7 +151,7 @@ def _read(obj, path, fields, problems) -> list:
             continue
         value = obj[key]
         if isinstance(value, bool) or not isinstance(value, types):
-            _fail(problems, path, key, f"expected {type_name}", repr(value))
+            _fail(problems, path, key, f"expected {type_name}", value)
             value = None
         values.append(value)
     for key in obj:
@@ -161,14 +174,14 @@ def _parse_request(obj, path, problems) -> Optional[AnalysisRequest]:
             alternative = Alternative(alternative.replace("-", "_"))
         except ValueError:
             message = "must be one of two_sided, less, greater"
-            _fail(problems, path, "alternative", message, repr(alternative))
+            _fail(problems, path, "alternative", message, alternative)
 
     if dependent is not None:
         cleaned = []
         for i, name in enumerate(dependent):
             if not isinstance(name, str) or not name:
                 message = "expected a non-empty column name"
-                _fail(problems, path, f"dependent[{i}]", message, repr(name))
+                _fail(problems, path, f"dependent[{i}]", message, name)
             else:
                 cleaned.append(name)
         if not dependent:
@@ -183,10 +196,10 @@ def _parse_request(obj, path, problems) -> Optional[AnalysisRequest]:
     # compared before float(): an int compares exactly, and a huge one
     # would overflow the conversion
     if alpha is not None and not 0 < alpha < 1:
-        _fail(problems, path, "alpha", "must lie strictly between 0 and 1", repr(alpha))
+        _fail(problems, path, "alpha", "must lie strictly between 0 and 1", alpha)
     if result_file is not None and not RESULT_FILE_RE.fullmatch(result_file):
         message = "must match [a-z0-9_]+ (no path separators)"
-        _fail(problems, path, "result_file", message, repr(result_file))
+        _fail(problems, path, "result_file", message, result_file)
 
     if len(problems) > start:
         return None
@@ -211,12 +224,12 @@ def _parse_output(obj, path, problems) -> Optional[OutputSpec]:
         bucket in (".", "..") or "/" in bucket or "\0" in bucket
     ):
         message = "must be one directory name: not '.' or '..', no '/' or NUL"
-        _fail(problems, path, "bucket", message, repr(bucket))
+        _fail(problems, path, "bucket", message, bucket)
     if prefix:
         segments = prefix.split("/")
         if ".." in segments or prefix.startswith("/") or "\0" in prefix:
             message = "must be a relative path without '..' segments or NUL"
-            _fail(problems, path, "prefix", message, repr(prefix))
+            _fail(problems, path, "prefix", message, prefix)
     if len(problems) > start:
         return None
     return OutputSpec(bucket=bucket, prefix=prefix)
@@ -264,8 +277,10 @@ def parse_payload(raw: Union[bytes, str]) -> AnalysisPayload:
 
     version, domain, analyses, output = _read(obj, "", _PAYLOAD_FIELDS, problems)
 
+    if version is not None and version < 1:
+        _fail(problems, "", "payload_version", "must be at least 1", version)
     if domain is not None and not DOMAIN_RE.fullmatch(domain):
-        _fail(problems, "", "domain", "must match [a-z][a-z0-9_]*", repr(domain))
+        _fail(problems, "", "domain", "must match [a-z][a-z0-9_]*", domain)
 
     requests: List[AnalysisRequest] = []
     if analyses is not None:

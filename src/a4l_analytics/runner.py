@@ -317,7 +317,7 @@ def execute_payload(
     """Run every request of a validated payload, in payload order.
 
     Datasets come from ``cache`` when it already holds the manifest
-    version; otherwise they are parsed from the warehouse file into it.
+    version; otherwise it loads them from the warehouse.
     """
     run_id = staged.run_id or uuid.uuid4().hex
     generated_at = utc_now_rfc3339()

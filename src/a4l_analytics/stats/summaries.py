@@ -72,7 +72,7 @@ def descriptives(values: Sequence[Optional[float]], label: str = "all") -> Group
     if n < 2:
         return GroupSummary(label=label, n=n, mean=mean, sd=None)
     try:
-        ss = math.fsum((v - mean) ** 2 for v in xs)
+        ss = math.fsum([(v - mean) ** 2 for v in xs])
     except OverflowError:
         ss = math.inf
     if math.isinf(ss):

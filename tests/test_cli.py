@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from a4l_analytics.cli import main
+from a4l_analytics.dataset import Warehouse
 from a4l_analytics.orchestrator import CycleLock, run_cycle
 from conftest import (
     DOMAIN_FILES,
@@ -263,22 +264,45 @@ class TestBrokenWarehouseDataset:
 
 
 class TestParseOnce:
+    """A dataset version is parsed once per warehouse: the sync that
+    pulls it in keeps its columns, and later commands load those."""
+
+    @staticmethod
+    def _column_file(root, dataset):
+        sha = Warehouse(root).manifest()[dataset]["sha256"]
+        return root / "warehouse" / "columns" / f"{sha}.marshal"
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_parses_only_the_payloads_datasets(self, synced_root, parses, command):
+        shutil.rmtree(synced_root / "warehouse" / "columns")
         code = run_cli(
             "--root", str(synced_root), command,
             str(synced_root / "payloads" / "sami_fall24.json"),
         )
         assert code == 0
         assert parses == ["sami_fall24_usage"]
+        written = sorted((synced_root / "warehouse" / "columns").iterdir())
+        assert written == [self._column_file(synced_root, "sami_fall24_usage")]
 
-    def test_each_command_parses_afresh(self, synced_root, parses):
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_synced_root_needs_no_parse(self, synced_root, parses, command):
+        for payload in ("jw_fall23.json", "sami_fall24.json", "vera_summer23.json"):
+            code = run_cli(
+                "--root", str(synced_root), command, str(synced_root / "payloads" / payload)
+            )
+            assert code == 0
+        assert parses == []
+
+    def test_deleted_column_file_is_parsed_once_and_rewritten(self, synced_root, parses):
+        column_file = self._column_file(synced_root, "jw_fall23_usage")
+        column_file.unlink()
         for _ in range(2):
             run_cli(
                 "--root", str(synced_root), "run",
                 str(synced_root / "payloads" / "jw_fall23.json"),
             )
-        assert parses == ["jw_fall23_usage", "jw_fall23_usage"]
+        assert parses == ["jw_fall23_usage"]
+        assert column_file.is_file()
 
 
 class TestSync:

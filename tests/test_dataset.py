@@ -3,16 +3,20 @@
 import csv
 import hashlib
 import json
+import marshal
 import os
+import random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
+from a4l_analytics import dataset
 from a4l_analytics.dataset import (
     DatasetCache,
     Warehouse,
     atomic_write,
+    columns_path,
     fetch_to_staging,
     load_csv,
     sha256_file,
@@ -125,11 +129,11 @@ EDGE_CELLS = (
 
 
 @st.composite
-def edge_tables(draw):
-    """A header and rows whose columns each draw from a few edge cells."""
+def edge_tables(draw, cells=EDGE_CELLS):
+    """A header and rows whose columns each draw from a few of ``cells``."""
     width = draw(st.integers(1, 4))
     alphabets = [
-        draw(st.lists(st.sampled_from(EDGE_CELLS), min_size=1, max_size=4))
+        draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4))
         for _ in range(width)
     ]
     rows = draw(
@@ -190,6 +194,112 @@ class TestDatasetCache:
         cache.get("e", "v1", tmp_path / "e.csv")
         cache.get("d", "v1", tmp_path / "d.csv")
         assert parses == ["d", "e", "d"]
+
+
+def _columns(ds):
+    # repr tells -0.0 from 0.0 and 1.0 from True, which == does not
+    return repr([(c.name, c.kind, c.cells) for c in ds.columns])
+
+
+# Signed zeros, boolean tokens in mixed case, missing cells, and cells
+# that turn a numeric or boolean column categorical.
+COLUMN_FILE_CELLS = (
+    "", "0.0", "-0.0", "-0", "2.5", "1e300", "true", "FALSE", "Yes", "nO",
+    "1", "0", "abc", "inf",
+)
+
+
+class TestColumnFile:
+    """After the first parse of a version its columns are loaded from
+    columns/<sha256>.marshal, equal to what a parse gives."""
+
+    def _primed(self, tmp_path, text="used,score\ntrue,1.5\nfalse,-0.0\n,\n"):
+        path = write(tmp_path, "d.csv", text)
+        sha = sha256_file(path)
+        DatasetCache().get("d", sha, path)
+        return path, sha, columns_path(path, sha)
+
+    @given(table=edge_tables(COLUMN_FILE_CELLS))
+    @example(table=(["a", "b"], []))  # header only
+    @example(table=(["a", "b"], [("-0.0", "TRUE"), ("0.0", "no"), ("", "")]))
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_load_equals_the_parse(self, tmp_path, parses, table):
+        header, rows = table
+        path = tmp_path / "d.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        sha = sha256_file(path)
+        parsed = DatasetCache().get("d", sha, path)
+        parses.clear()
+        loaded = DatasetCache().get("d", sha, path)
+        assert parses == []
+        assert _columns(loaded) == _columns(parsed) == _columns(load_csv(path))
+        assert (loaded.name, loaded.version, loaded.row_count) == ("d", sha, len(rows))
+
+    def test_first_parse_writes_the_file(self, tmp_path, parses):
+        path, sha, target = self._primed(tmp_path)
+        assert parses == ["d"]
+        assert [p.name for p in target.parent.iterdir()] == [f"{sha}.marshal"]
+
+    def test_loaded_version_is_the_key(self, tmp_path, parses):
+        path, sha, _ = self._primed(tmp_path)
+        ds = DatasetCache().get("e", sha, path)
+        assert parses == ["d"]
+        assert (ds.name, ds.version) == ("e", sha)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        ["truncated", "foreign_tag", "row_count_disagrees", "unknown_kind", "random_bytes", "empty"],
+    )
+    def test_bad_file_falls_back_to_one_parse_and_is_rewritten(
+        self, tmp_path, parses, spoil
+    ):
+        path, sha, target = self._primed(tmp_path)
+        data = target.read_bytes()
+        tag, row_count, columns = marshal.loads(data)
+        target.write_bytes(
+            {
+                "truncated": data[: len(data) // 2],
+                "foreign_tag": marshal.dumps((("a4l-columns", 1, (2, 7)), row_count, columns)),
+                "row_count_disagrees": marshal.dumps((tag, row_count + 1, columns)),
+                "unknown_kind": marshal.dumps((tag, row_count, (("a", "text", (None,) * row_count),))),
+                "random_bytes": random.Random(7).randbytes(len(data)),
+                "empty": b"",
+            }[spoil]
+        )
+        parses.clear()
+        ds = DatasetCache().get("d", sha, path)
+        assert parses == ["d"]
+        assert _columns(ds) == _columns(load_csv(path))
+        DatasetCache().get("d", sha, path)
+        assert parses == ["d"]  # the rewritten file serves the next load
+
+    def test_unwritable_columns_still_load(self, tmp_path, parses, monkeypatch):
+        def failing_write(target, data):
+            raise OSError("read-only warehouse")
+
+        monkeypatch.setattr(dataset, "atomic_write", failing_write)
+        path = write(tmp_path, "d.csv", "a\n1\n")
+        sha = sha256_file(path)
+        for _ in range(2):
+            assert DatasetCache().get("d", sha, path).column("a").cells == (1.0,)
+        assert parses == ["d", "d"]
+
+    def test_bytes_other_than_the_key_write_nothing(self, tmp_path, parses):
+        # the CSV was replaced after the manifest named its sha256
+        path = write(tmp_path, "d.csv", "a\n1\n")
+        sha = sha256_file(path)
+        path.write_text("a\n2\n", encoding="utf-8")
+        ds = DatasetCache().get("d", sha, path)
+        assert ds.version == sha256_file(path) != sha
+        assert not columns_path(path, sha).parent.exists()
+
 
 
 class TestWarehouse:

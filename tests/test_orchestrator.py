@@ -244,6 +244,73 @@ class TestSyncWarehouse:
             assert (archive / f"{digest}.csv").read_bytes() == data
 
 
+class TestColumnFiles:
+    """warehouse/columns/ holds one file per version the manifest names."""
+
+    @staticmethod
+    def _named(root):
+        return sorted(
+            f"{entry['sha256']}.marshal" for entry in Warehouse(root).manifest().values()
+        )
+
+    def test_first_cycle_writes_one_file_per_version(self, synced_root):
+        columns = synced_root / "warehouse" / "columns"
+        assert sorted(os.listdir(columns)) == self._named(synced_root)
+
+    def test_update_removes_files_of_replaced_versions(self, synced_root):
+        columns = synced_root / "warehouse" / "columns"
+        store = synced_root / "store" / "vera_summer23_usage.csv"
+        old = columns / f"{sha256_file(store)}.marshal"
+        stray_temp = columns / ".deadbeef-0123.tmp"
+        stray_temp.write_bytes(b"")
+        store.write_text(
+            store.read_text(encoding="utf-8") + "true,3.10,3.20,3.30,3.40,female\n",
+            encoding="utf-8",
+        )
+        assert run_cycle(synced_root).selected_payloads == ["vera_summer23.json"]
+        assert not old.exists()
+        assert stray_temp.exists()
+        stray_temp.unlink()
+        assert sorted(os.listdir(columns)) == self._named(synced_root)
+
+    def test_idle_cycle_does_not_list_the_directory(self, synced_root, monkeypatch):
+        columns = synced_root / "warehouse" / "columns"
+        listed = []
+        for name in ("glob", "iterdir", "rglob"):
+            original = getattr(Path, name)
+
+            def recording(self, *args, _original=original):
+                listed.append(Path(self))
+                return _original(self, *args)
+
+            monkeypatch.setattr(Path, name, recording)
+        scandir = os.scandir
+
+        def recording_scandir(path="."):
+            listed.append(Path(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", recording_scandir)
+        assert run_cycle(synced_root).updated == []
+        assert listed  # the recorders see the store scan
+        assert columns not in listed
+
+
+class TestManifestReads:
+    def test_read_once_per_sync_and_once_per_payload(self, domain_root, monkeypatch):
+        reads = []
+        original = Warehouse.manifest
+
+        def counting(self):
+            reads.append(self.root)
+            return original(self)
+
+        monkeypatch.setattr(Warehouse, "manifest", counting)
+        report = run_cycle(domain_root)
+        assert len(report.selected_payloads) == 3
+        assert len(reads) == 1 + 3
+
+
 class TestSelection:
     def test_exact_selection(self, synced_root):
         updates = [

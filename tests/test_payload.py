@@ -224,6 +224,101 @@ class TestParse:
         assert "analyses[0].dependent" in paths
         assert "analyses[1].alpha" in paths
 
+    @pytest.mark.parametrize("version", [0, -5])
+    def test_payload_version_below_1_rejected(self, version):
+        doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
+        doc["payload_version"] = version
+        with pytest.raises(PayloadError) as exc_info:
+            parse_payload(_dump(doc))
+        assert [d.render() for d in exc_info.value.diagnostics] == [
+            f"payload_version: must be at least 1 (got {version})"
+        ]
+
+    def test_payload_version_1_accepted(self):
+        assert parse_payload(_dump(SAMI_POWER_PAYLOAD)).payload_version == 1
+
+
+def _rendered(edit):
+    """The rendered diagnostics of SAMI_POWER_PAYLOAD after ``edit``."""
+    doc = json.loads(_dump(SAMI_POWER_PAYLOAD))
+    edit(doc)
+    with pytest.raises(PayloadError) as exc_info:
+        parse_payload(_dump(doc))
+    return [d.render() for d in exc_info.value.diagnostics]
+
+
+def _set(path, value):
+    """An edit that sets the field at ``path``, a list of keys, to ``value``."""
+
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+class TestDiagnosticText:
+    """Each value a diagnostic shows is quoted once, as Python's repr."""
+
+    @pytest.mark.parametrize(
+        "path, value, text",
+        [
+            (["domain"], 7, "domain: expected a string (got 7)"),
+            (["domain"], None, "domain: expected a string (got None)"),
+            (["analyses", 0, "alpha"], "0.1", "analyses[0].alpha: expected a number (got '0.1')"),
+            (
+                ["analyses", 0, "alternative"],
+                "sideways",
+                "analyses[0].alternative: must be one of two_sided, less, greater "
+                "(got 'sideways')",
+            ),
+            (
+                ["analyses", 0, "dependent", 1],
+                "",
+                "analyses[0].dependent[1]: expected a non-empty column name (got '')",
+            ),
+            (
+                ["analyses", 0, "dependent", 1],
+                None,
+                "analyses[0].dependent[1]: expected a non-empty column name (got None)",
+            ),
+            (
+                ["analyses", 0, "alpha"],
+                0.0,
+                "analyses[0].alpha: must lie strictly between 0 and 1 (got 0.0)",
+            ),
+            (
+                ["analyses", 0, "result_file"],
+                "a/b",
+                "analyses[0].result_file: must match [a-z0-9_]+ (no path separators) "
+                "(got 'a/b')",
+            ),
+            (
+                ["output", "bucket"],
+                "..",
+                "output.bucket: must be one directory name: not '.' or '..', no '/' or NUL "
+                "(got '..')",
+            ),
+            (
+                ["output", "prefix"],
+                "../x",
+                "output.prefix: must be a relative path without '..' segments or NUL "
+                "(got '../x')",
+            ),
+            (["domain"], "Sami", "domain: must match [a-z][a-z0-9_]* (got 'Sami')"),
+        ],
+    )
+    def test_value_quoted_once(self, path, value, text):
+        assert _rendered(_set(path, value)) == [text]
+
+    def test_no_value_shown_where_none_is_carried(self):
+        assert _rendered(lambda doc: doc.pop("domain")) == [
+            "domain: missing required field"
+        ]
+
+
 
 class TestValidate:
     def test_fixture_payload_ok(self):

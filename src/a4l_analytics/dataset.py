@@ -73,9 +73,9 @@ class TabularDataset:
     """A parsed dataset.
 
     ``views`` holds what statistics derive from the columns (the runner
-    keeps its group indexes and splits there), so each is built once
-    while the dataset is cached and freed with it. It takes no part in
-    equality.
+    keeps its group indexes, splits and result entries there), so each
+    is built once while the dataset is cached and freed with it. It
+    takes no part in equality.
     """
 
     name: str
@@ -222,10 +222,14 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
 
 
 # The directory beside a dataset's CSV that holds its column files, and
-# the tag that makes a column file readable only by the interpreter
-# version that wrote it.
+# the tag that makes a column file readable only by the same typing rules
+# and interpreter version that wrote it. Bump _COLUMNS_FORMAT whenever
+# load_csv's output for the same bytes changes (a kind rule, a cell
+# conversion, the column layout): the files are keyed by the bytes'
+# hash alone, so an old file would otherwise keep serving the old typing.
 COLUMNS_DIR = "columns"
-_COLUMNS_TAG = ("a4l-columns", marshal.version, sys.version_info[:2])
+_COLUMNS_FORMAT = 1
+_COLUMNS_TAG = ("a4l-columns", _COLUMNS_FORMAT, marshal.version, sys.version_info[:2])
 
 
 def columns_path(path: Union[str, Path], sha256: str) -> Path:

@@ -127,8 +127,8 @@ def sync_warehouse(
     """Pull changed store files into the warehouse, archiving old bytes.
 
     For every dataset whose store hash differs from the manifest (or is
-    absent from it), and whose bytes still differ when read for the copy,
-    the existing warehouse file is hard-linked as
+    absent from it), and whose bytes still exist and differ when read for
+    the copy, the existing warehouse file is hard-linked as
     archive/<name>/<old sha256>.csv, then the new bytes replace it in one
     step, so a reader of warehouse/<name>.csv always sees a whole
     version. The manifest is rewritten atomically at the end, and then
@@ -149,8 +149,12 @@ def sync_warehouse(
         if entry is not None and entry["sha256"] == scan[name]:
             continue
         # the store file may have been rewritten since the scan, so the
-        # hash recorded is that of the bytes copied
-        data = (store_dir / f"{name}.csv").read_bytes()
+        # hash recorded is that of the bytes copied; one removed since the
+        # scan is skipped, and the next scan no longer lists it
+        try:
+            data = (store_dir / f"{name}.csv").read_bytes()
+        except FileNotFoundError:
+            continue
         new_sha = hashlib.sha256(data).hexdigest()
         if entry is not None and entry["sha256"] == new_sha:
             continue

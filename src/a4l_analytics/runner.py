@@ -11,6 +11,7 @@ import json
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -118,11 +119,13 @@ class GroupSplit:
 class GroupIndex:
     """The two levels of an independent column and the rows in each.
 
-    Built once per request; every dependent is split from it.
+    ``masks`` holds one byte per row for each level: 1 where the row has
+    that level. Built once per independent column while its dataset is
+    cached; every dependent is split from it.
     """
 
     labels: Tuple[str, str]
-    rows: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    masks: Tuple[bytes, bytes]
 
     def ordering(self) -> Dict[str, str]:
         return {self.labels[0]: "group1", self.labels[1]: "group2"}
@@ -149,10 +152,7 @@ def group_index(ds: TabularDataset, independent: str) -> GroupIndex:
     level1, level2 = levels
     return GroupIndex(
         labels=(level1, level2),
-        rows=(
-            tuple(i for i, v in enumerate(cells) if v == level1),
-            tuple(i for i, v in enumerate(cells) if v == level2),
-        ),
+        masks=(bytes(v == level1 for v in cells), bytes(v == level2 for v in cells)),
     )
 
 
@@ -179,7 +179,7 @@ def split_groups(
 
     cells = dep_col.cells
     sample1, sample2 = (
-        [v for v in map(cells.__getitem__, rows) if v is not None] for rows in index.rows
+        [v for v in compress(cells, mask) if v is not None] for mask in index.masks
     )
     return GroupSplit(
         sample1=sample1,
@@ -189,27 +189,23 @@ def split_groups(
     )
 
 
-def _welch_ttest(req: "AnalysisRequest", split: GroupSplit, dep: str):
+def _welch_ttest(split: GroupSplit, dep: str, alternative: str, alpha: float):
     g1, g2 = split.summaries()
-    return welch_ttest(
-        g1, g2, alternative=req.alternative.value, alpha=req.alpha, dependent=dep
-    )
+    return welch_ttest(g1, g2, alternative=alternative, alpha=alpha, dependent=dep)
 
 
-def _welch_power(req: "AnalysisRequest", split: GroupSplit, dep: str):
+def _welch_power(split: GroupSplit, dep: str, alternative: str, alpha: float):
     g1, g2 = split.summaries()
-    return welch_power(
-        g1, g2, alpha=req.alpha, alternative=req.alternative.value, dependent=dep
-    )
+    return welch_power(g1, g2, alpha=alpha, alternative=alternative, dependent=dep)
 
 
-def _mann_whitney_u(req: "AnalysisRequest", split: GroupSplit, dep: str):
+def _mann_whitney_u(split: GroupSplit, dep: str, alternative: str, alpha: float):
     return mann_whitney_u(
-        split.sample1, split.sample2, alternative=req.alternative.value, dependent=dep
+        split.sample1, split.sample2, alternative=alternative, dependent=dep
     )
 
 
-def _descriptives(req: "AnalysisRequest", split: GroupSplit, dep: str):
+def _descriptives(split: GroupSplit, dep: str, alternative: str, alpha: float):
     g1, g2 = split.summaries()
     return DescriptivesResult(dependent=dep, group1=g1, group2=g2)
 
@@ -220,14 +216,17 @@ class Statistic:
 
     Every statistic takes an independent column of a GROUPING_KINDS
     kind; ``dependent_kinds`` are the kinds each dependent column may
-    have. ``compute`` returns the result object for one dependent from
-    its two-group split, which every statistic over the same columns
-    shares. It is None for the contingency table, which cross-tabulates
-    the two columns instead of splitting into groups.
+    have. ``compute(split, dep, alternative, alpha)`` returns the result
+    object for one dependent from its two-group split, which every
+    statistic over the same columns shares. It must be a pure function
+    of its arguments: its entry is reused for every request of the
+    invocation with the same key (see ``_execute_request``). It is None
+    for the contingency table, which cross-tabulates the two columns
+    instead of splitting into groups.
     """
 
     dependent_kinds: Tuple[str, ...]
-    compute: Optional[Callable[["AnalysisRequest", GroupSplit, str], object]]
+    compute: Optional[Callable[[GroupSplit, str, str, float], object]]
 
 
 # The closed set of statistics, by payload name. Validation and
@@ -242,6 +241,55 @@ STATISTICS: Dict[str, Statistic] = {
 }
 
 
+# The key of ``TabularDataset.views`` that holds the dataset's result
+# entries; no column name or (independent, dependent) pair equals it.
+_ENTRIES = object()
+
+
+def _group_index(ds: TabularDataset, independent: str) -> Optional[GroupIndex]:
+    """The index of ``independent``, kept in ``ds.views`` from its first
+    use; None when the column cannot be split, in which case
+    ``split_groups`` raises the error for each dependent."""
+    views = ds.views
+    if independent not in views:
+        try:
+            views[independent] = group_index(ds, independent)
+        except StatError:
+            views[independent] = None
+    return views[independent]
+
+
+def _entry(
+    ds: TabularDataset, statistic: str, independent: str, dep: str, alternative: str, alpha: float
+) -> dict:
+    """One dependent's entry: its result, or the error that failed it."""
+    compute = STATISTICS[statistic].compute
+    try:
+        if compute is None:
+            row, col = ds.column(independent), ds.column(dep)
+            result = contingency(
+                row.name, row.kind, row.rendered(), col.name, col.kind, col.rendered()
+            )
+        else:
+            # ds.views holds the split of each (independent, dependent)
+            # pair for as long as the dataset is cached; a failed split is
+            # not kept, so each statistic that needs it raises it again.
+            key = (independent, dep)
+            split = ds.views.get(key)
+            if split is None:
+                index = _group_index(ds, independent)
+                split = ds.views[key] = split_groups(ds, independent, dep, index)
+            result = compute(split, dep, alternative, alpha)
+        return result.to_dict()
+    except StatError as exc:
+        error = {"kind": exc.kind, "message": str(exc)}
+    except (ArithmeticError, ValueError) as exc:
+        # a kernel's own numeric failure, e.g. an overflow at a huge
+        # noncentrality, fails this dependent only
+        error = {"kind": StatError.kind, "message": f"{type(exc).__name__}: {exc}"}
+    return {"dependent": dep, "error": error}
+
+
 def _execute_request(
     payload: "AnalysisPayload",
     req: "AnalysisRequest",
@@ -249,59 +297,32 @@ def _execute_request(
     run_id: str,
     generated_at: str,
 ) -> ResultDocument:
-    compute = STATISTICS[req.statistic].compute
-    groups: Optional[Dict[str, str]] = None
-    if compute is None:
-        row = ds.column(req.independent)
-        row_cells = row.rendered()
-
-        def result_for(dep: str):
-            col = ds.column(dep)
-            return contingency(
-                row.name, row.kind, row_cells, col.name, col.kind, col.rendered()
-            )
-
-    else:
-        # ds.views holds the index of each independent column and the
-        # split of each (independent, dependent) pair for as long as the
-        # dataset is cached; a failure is not kept, so it is raised again.
-        views = ds.views
-        index: Optional[GroupIndex] = views.get(req.independent)
-        if index is None:
-            try:
-                index = views[req.independent] = group_index(ds, req.independent)
-            except StatError:
-                # split_groups raises the same error again for every dependent
-                pass
-        if index is not None:
-            groups = index.ordering()
-
-        def result_for(dep: str):
-            key = (req.independent, dep)
-            split = views.get(key)
-            if split is None:
-                split = views[key] = split_groups(ds, req.independent, dep, index)
-            return compute(req, split, dep)
-
+    # Each entry is computed once per (dataset version, statistic,
+    # independent, dependent, alternative, alpha) while the dataset is
+    # cached; every later request for that key, in this payload or
+    # another, gets the same entry, error entries included.
+    memo = ds.views.setdefault(_ENTRIES, {})
+    alternative = req.alternative.value
     entries: List[dict] = []
     for dep in req.dependent:
-        try:
-            entries.append(result_for(dep).to_dict())
-            continue
-        except StatError as exc:
-            error = {"kind": exc.kind, "message": str(exc)}
-        except (ArithmeticError, ValueError) as exc:
-            # a kernel's own numeric failure, e.g. an overflow at a huge
-            # noncentrality, fails this dependent only
-            error = {"kind": StatError.kind, "message": f"{type(exc).__name__}: {exc}"}
-        entries.append({"dependent": dep, "error": error})
+        key = (req.statistic, req.independent, dep, alternative, req.alpha)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = _entry(ds, *key)
+        entries.append(entry)
+
+    groups: Optional[Dict[str, str]] = None
+    if STATISTICS[req.statistic].compute is not None:
+        index = _group_index(ds, req.independent)
+        if index is not None:
+            groups = index.ordering()
 
     return ResultDocument(
         domain=payload.domain,
         statistic=req.statistic,
         dataset={"name": ds.name, "sha256": ds.version},
         independent=req.independent,
-        alternative=req.alternative.value,
+        alternative=alternative,
         alpha=req.alpha,
         groups=groups,
         results=entries,

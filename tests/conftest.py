@@ -10,6 +10,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -354,16 +355,29 @@ def parses(monkeypatch):
 
 @pytest.fixture
 def derived(monkeypatch):
-    """Every group split and group summary the runner computes.
+    """Every group split, group summary and kernel call the runner makes.
 
     ``splits`` records (dataset, independent, dependent) of each
     runner.split_groups call, ``summaries`` the label of each
-    runner.descriptives call.
+    runner.descriptives call, and ``kernels`` counts the calls of each
+    statistic's kernel by its runner name.
     """
     from a4l_analytics import runner
 
-    made = {"splits": [], "summaries": []}
+    made = {"splits": [], "summaries": [], "kernels": Counter()}
     split_groups, descriptives = runner.split_groups, runner.descriptives
+
+    def counting(name):
+        kernel = getattr(runner, name)
+
+        def call(*args, **kwargs):
+            made["kernels"][name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, call)
+
+    for name in ("welch_ttest", "welch_power", "mann_whitney_u", "contingency"):
+        counting(name)
 
     def counting_split(ds, independent, dependent, index=None):
         made["splits"].append((ds.name, independent, dependent))

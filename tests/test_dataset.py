@@ -255,7 +255,15 @@ class TestColumnFile:
 
     @pytest.mark.parametrize(
         "spoil",
-        ["truncated", "foreign_tag", "row_count_disagrees", "unknown_kind", "random_bytes", "empty"],
+        [
+            "truncated",
+            "foreign_tag",
+            "other_format",
+            "row_count_disagrees",
+            "unknown_kind",
+            "random_bytes",
+            "empty",
+        ],
     )
     def test_bad_file_falls_back_to_one_parse_and_is_rewritten(
         self, tmp_path, parses, spoil
@@ -267,6 +275,10 @@ class TestColumnFile:
             {
                 "truncated": data[: len(data) // 2],
                 "foreign_tag": marshal.dumps((("a4l-columns", 1, (2, 7)), row_count, columns)),
+                # the same tag but for its format number: older typing rules
+                "other_format": marshal.dumps(
+                    ((tag[0], tag[1] + 1, *tag[2:]), row_count, columns)
+                ),
                 "row_count_disagrees": marshal.dumps((tag, row_count + 1, columns)),
                 "unknown_kind": marshal.dumps((tag, row_count, (("a", "text", (None,) * row_count),))),
                 "random_bytes": random.Random(7).randbytes(len(data)),

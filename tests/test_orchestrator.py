@@ -517,6 +517,37 @@ class TestRunCycle:
         assert report.updated == []
         assert report.selected_payloads == []
 
+    def test_store_file_removed_after_the_scan_is_skipped(self, synced_root, monkeypatch):
+        store = synced_root / "store"
+        for name in ("jw_fall23_usage", "sami_fall24_usage"):
+            path = store / f"{name}.csv"
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text + text.splitlines()[1] + "\n", encoding="utf-8")
+        manifest = Warehouse(synced_root).manifest()
+        scan = orchestrator.scan_store
+
+        def scan_then_remove(store_dir):
+            result = scan(store_dir)
+            (store / "sami_fall24_usage.csv").unlink()
+            return result
+
+        monkeypatch.setattr(orchestrator, "scan_store", scan_then_remove)
+        report = run_cycle(synced_root)
+        assert [u.dataset for u in report.updated] == ["jw_fall23_usage"]
+        assert report.selected_payloads == ["jw_fall23.json"]
+        assert report.all_ok()
+        after = Warehouse(synced_root).manifest()
+        assert after["sami_fall24_usage"] == manifest["sami_fall24_usage"]
+        assert after["jw_fall23_usage"] != manifest["jw_fall23_usage"]
+        assert not (synced_root / "warehouse" / "archive" / "sami_fall24_usage").exists()
+        runs = sorted((synced_root / "runs").glob("*.json"))
+        assert len(runs) == 2
+        last = strict_loads(runs[-1].read_text(encoding="utf-8"))
+        assert last["scanned_at"] == report.scanned_at
+        # the next scan no longer lists the file, so the next cycle is idle
+        monkeypatch.undo()
+        assert run_cycle(synced_root).updated == []
+
     def test_failed_report_write_leaves_no_partial_report(self, domain_root, monkeypatch):
         real_replace = os.replace
 

@@ -105,7 +105,7 @@ class TestGroupIndex:
         ds = dataset_from(tmp_path, "used,score\ntrue,1\n,2\nfalse,3\ntrue,\n")
         index = group_index(ds, "used")
         assert index.labels == ("false", "true")
-        assert index.rows == ((2,), (0, 3))
+        assert index.masks == (b"\x00\x00\x01\x00", b"\x01\x00\x00\x01")
         assert index.ordering() == {"false": "group1", "true": "group2"}
 
     def test_shared_index_splits_like_a_fresh_one(self, tmp_path):
@@ -259,6 +259,25 @@ def _requests(dataset, independent, dependent, statistics=GROUPED_STATISTICS):
     ]
 
 
+# every statistic over the xyz fixture
+_ALL_REQUESTS = _requests(XYZ, "used_xyz", XYZ_DEPENDENTS) + _requests(
+    XYZ, "used_xyz", ["region"], ("get_contingency_table",)
+)
+
+
+def _written(root, domain):
+    """The documents written for ``domain``'s payload, in request order,
+    without run_id and generated_at."""
+    paths = (root / "results" / domain).glob("*.json")
+    out = []
+    for path in sorted(paths, key=lambda p: int(p.stem.rsplit("_", 1)[1])):
+        doc = strict_loads(path.read_text(encoding="utf-8"))
+        doc.pop("run_id")
+        doc.pop("generated_at")
+        out.append(doc)
+    return out
+
+
 def _documents(docs):
     out = [d.to_dict() for d in docs]
     for d in out:
@@ -270,7 +289,8 @@ def _documents(docs):
 class TestSharedViews:
     """Within one invocation each (dataset, independent, dependent) is
     split once, and each split summarised once, whichever statistics and
-    payloads read it."""
+    payloads read it; each result entry is computed once per (dataset,
+    statistic, independent, dependent, alternative, alpha)."""
 
     def _root(self, tmp_path, statistics=GROUPED_STATISTICS):
         root = build_root(tmp_path / "root", domains=("xyz",))
@@ -293,6 +313,88 @@ class TestSharedViews:
             assert main(["--root", str(root), "run", str(root / "payloads" / "a.json")]) == 0
         assert derived["splits"] == [(XYZ, "used_xyz", d) for d in XYZ_DEPENDENTS] * 3
         assert len(derived["summaries"]) == 3 * 2 * len(XYZ_DEPENDENTS)
+        # the cycle computes each entry once for both payloads; each run again
+        assert derived["kernels"] == {
+            name: 3 * len(XYZ_DEPENDENTS)
+            for name in ("welch_ttest", "welch_power", "mann_whitney_u")
+        }
+
+    def test_identical_requests_compute_each_entry_once(self, tmp_path, derived):
+        root = self._root(tmp_path)
+        for domain in ("a", "b"):
+            doc = _payload(domain, _ALL_REQUESTS)
+            (root / "payloads" / f"{domain}.json").write_text(json.dumps(doc))
+        report = run_cycle(root)
+        assert [o.status for o in report.run_outcomes] == ["ok", "ok"]
+        assert derived["kernels"] == {
+            "welch_ttest": len(XYZ_DEPENDENTS),
+            "welch_power": len(XYZ_DEPENDENTS),
+            "mann_whitney_u": len(XYZ_DEPENDENTS),
+            "contingency": 1,
+        }
+        a, b = (_written(root, domain) for domain in ("a", "b"))
+        assert [d["results"] for d in a] == [d["results"] for d in b]
+
+    def test_other_alpha_or_alternative_is_computed_apart(self, tmp_path, derived):
+        root = self._root(tmp_path, ("get_welch_ttest", "get_welch_power"))
+        requests = _requests(XYZ, "used_xyz", XYZ_DEPENDENTS, ("get_welch_ttest",))
+        requests += _requests(XYZ, "used_xyz", XYZ_DEPENDENTS, ("get_welch_power",))
+        requests[0]["alpha"] = 0.01
+        requests[1]["alternative"] = "greater"
+        (root / "payloads" / "b.json").write_text(json.dumps(_payload("b", requests)))
+        report = run_cycle(root)
+        assert [o.status for o in report.run_outcomes] == ["ok", "ok"]
+        n = len(XYZ_DEPENDENTS)
+        assert derived["kernels"] == {"welch_ttest": 2 * n, "welch_power": 2 * n}
+        a, b = (_written(root, domain) for domain in ("a", "b"))
+        for doc, alpha, alternative in [
+            (a[0], 0.05, "two_sided"),
+            (a[1], 0.05, "two_sided"),
+            (b[0], 0.01, "two_sided"),
+            (b[1], 0.05, "greater"),
+        ]:
+            assert (doc["alpha"], doc["alternative"]) == (alpha, alternative)
+            assert [(e["alpha"], e["alternative"]) for e in doc["results"]] == [
+                (alpha, alternative)
+            ] * n
+        assert a[0]["results"][0]["p_value"] == b[0]["results"][0]["p_value"]
+        assert a[1]["results"][0]["power"] != b[1]["results"][0]["power"]
+
+    def test_error_entry_is_shared_and_rendered_alike(self, tmp_path, derived):
+        root = tmp_path / "root"
+        (root / "store").mkdir(parents=True)
+        (root / "payloads").mkdir()
+        (root / "store" / "d.csv").write_text(
+            "used,constant\n" + "".join(f"{'true' if i % 2 else 'false'},3.5\n" for i in range(12)),
+            encoding="utf-8",
+        )
+        statistics = ("get_welch_ttest", "get_welch_power")
+        for domain in ("a", "b"):
+            doc = _payload(domain, _requests("d", "used", ["constant"], statistics))
+            (root / "payloads" / f"{domain}.json").write_text(json.dumps(doc))
+        report = run_cycle(root)
+        assert [o.status for o in report.run_outcomes] == ["partial", "partial"]
+        assert derived["kernels"] == {"welch_ttest": 1, "welch_power": 1}
+        texts = {
+            domain: [json.dumps(d["results"]) for d in _written(root, domain)]
+            for domain in ("a", "b")
+        }
+        assert texts["a"] == texts["b"]
+        assert all('"error"' in t for t in texts["a"])
+
+    def test_memoized_documents_equal_separate_invocations(self, tmp_path, capsys):
+        root = self._root(tmp_path)
+        (root / "payloads" / "a.json").write_text(json.dumps(_payload("a", _ALL_REQUESTS)))
+        (root / "payloads" / "b.json").write_text(
+            json.dumps(_payload("b", _requests(XYZ, "used_xyz", ["quiz_score"])))
+        )
+        run_cycle(root)
+        shared = {domain: _written(root, domain) for domain in ("a", "b")}
+        for domain in ("a", "b"):
+            # one command per payload: a fresh invocation, with nothing memoized
+            payload = root / "payloads" / f"{domain}.json"
+            assert main(["--root", str(root), "run", str(payload)]) == 0
+            assert _written(root, domain) == shared[domain]
 
     def test_mann_whitney_alone_never_summarises(self, tmp_path, derived):
         report = run_cycle(self._root(tmp_path, ("get_mann_whitney_u",)))

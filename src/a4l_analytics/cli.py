@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract:
     0 ok, 1 I/O error, 2 payload parse error, 3 validation failure,
-    4 partial success, 5 lock contention.
+    4 partial success, 5 lock contention, 6 internal error.
 """
 
 import argparse
@@ -20,7 +20,15 @@ from .errors import (
     PayloadError,
     PayloadParseError,
 )
-from .orchestrator import payload_index, run_cycle, run_payload_file, watch
+from .orchestrator import (
+    CycleLock,
+    RegistryRecord,
+    internal_error,
+    payload_index,
+    run_cycle,
+    run_payload_file,
+    watch,
+)
 from .payload import parse_payload, validate_payload
 from .runner import execute_payload, write_result  # noqa: F401
 
@@ -30,6 +38,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PARTIAL = 4
 EXIT_LOCK = 5
+EXIT_INTERNAL = 6
 
 
 def _emit(args, human: str, machine: dict) -> None:
@@ -84,9 +93,24 @@ def cmd_run(args) -> int:
     payload, code = _load_payload(args, args.payload)
     if payload is None:
         return code
-    outcome = run_payload_file(
-        Path(args.payload).name, payload, Warehouse(args.root), DatasetCache()
-    )
+    # under the cycle lock, so no sync replaces a version this run read
+    # before its documents are written; a root where the lock file cannot
+    # be opened is an I/O error
+    try:
+        with CycleLock(Path(args.root) / ".a4l.lock"):
+            outcome = run_payload_file(
+                Path(args.payload).name, payload, Warehouse(args.root), DatasetCache()
+            )
+    except LockHeldError as exc:
+        _emit(args, f"locked: {exc}", {"error": str(exc)})
+        return EXIT_LOCK
+    except OSError as exc:
+        _emit(args, f"error: {exc}", {"error": str(exc)})
+        return EXIT_IO
+    except Exception as exc:
+        detail = internal_error(exc)
+        _emit(args, f"internal error: {detail}", {"error": detail})
+        return EXIT_INTERNAL
     keys = ["results/" + key for key in outcome.result_keys]
     if outcome.status == "validation_failed":
         # one diagnostic per line: every payload-supplied value is repr'd
@@ -152,8 +176,9 @@ def cmd_list(args) -> int:
     except ManifestError as exc:
         _emit(args, f"error: {exc}", {"error": str(exc)})
         return EXIT_IO
-    parsed, broken = payload_index(Path(args.root) / "payloads")
-    index = {name: sorted(payload.datasets()) for name, payload in parsed.items()}
+    # reads the registry record but never writes it
+    record = RegistryRecord(warehouse.reconcile_path)
+    index, _, broken = payload_index(Path(args.root) / "payloads", record)
 
     lines = []
     for name in sorted(manifest):

@@ -331,6 +331,8 @@ class Warehouse:
         warehouse/manifest.json       {"<name>": {"sha256", "bytes", "updated"}}
         warehouse/columns/<sha256>.marshal
                                       typed columns of each version parsed
+        warehouse/reconcile.json      what each payload file references,
+                                      by its sha256 (orchestrator.RegistryRecord)
         archive/<name>/<sha256>.csv   superseded versions, named by their hash
     """
 
@@ -340,6 +342,7 @@ class Warehouse:
         self.columns_dir = self.dir / COLUMNS_DIR
         self.archive_dir = self.root / "archive"
         self.manifest_path = self.dir / "manifest.json"
+        self.reconcile_path = self.dir / "reconcile.json"
 
     def manifest(self) -> Dict[str, dict]:
         """The manifest's entries by dataset name, each checked to hold a

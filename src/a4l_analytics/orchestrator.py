@@ -5,18 +5,20 @@ the warehouse (archiving whatever they replace), figures out which
 payloads reference the updated datasets, and runs exactly those. The
 cycle is idempotent: re-running against an unchanged store selects
 nothing. A lock file makes cycles mutually exclusive; dataset hashes
-(not timestamps) decide what counts as new data.
+(not timestamps) decide what counts as new data, and payload hashes
+decide which payload files must be parsed again.
 """
 
 import fcntl
 import hashlib
 import json
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, List, Optional, Tuple, Union
 
 from .dataset import (
     DatasetCache,
@@ -122,9 +124,16 @@ def scan_store(store_dir: Union[str, Path]) -> Dict[str, str]:
 
 
 def sync_warehouse(
-    scan: Dict[str, str], warehouse: Warehouse, lock: CycleLock
+    scan: Dict[str, str],
+    warehouse: Warehouse,
+    lock: CycleLock,
+    manifest: Optional[Dict[str, dict]] = None,
 ) -> List[UpdateRecord]:
     """Pull changed store files into the warehouse, archiving old bytes.
+
+    ``manifest`` holds the entries of ``warehouse.manifest()``, which are
+    read now when not given; they are brought up to date in place, so
+    afterwards they are the manifest the cycle runs against.
 
     For every dataset whose store hash differs from the manifest (or is
     absent from it), and whose bytes still exist and differ when read for
@@ -140,7 +149,8 @@ def sync_warehouse(
     if not lock.held:
         raise A4LError("sync_warehouse requires the cycle lock to be held")
 
-    manifest = warehouse.manifest()
+    if manifest is None:
+        manifest = warehouse.manifest()
     store_dir = warehouse.root / "store"
     updates: List[UpdateRecord] = []
 
@@ -189,57 +199,168 @@ def sync_warehouse(
     return updates
 
 
+# The format number of the registry record. Bump it whenever
+# parse_payload accepts or rejects different bytes, or
+# AnalysisPayload.datasets() changes: a record of another format is
+# ignored and written again, as a column file of another
+# _COLUMNS_FORMAT is.
+_RECORD_FORMAT = 1
+_RECORD_TAG = ["a4l-reconcile", _RECORD_FORMAT]
+
+
+def _read_record(path: Path) -> Optional[Dict[str, dict]]:
+    """The registry record's entries at ``path``, or None when the file
+    is missing, unreadable, of another tag or format, or malformed."""
+    try:
+        data = json.loads(path.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(data, dict) or data.get("tag") != _RECORD_TAG:
+        return None
+    entries = data.get("payloads")
+    if not isinstance(entries, dict):
+        return None
+    for entry in entries.values():
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("sha256"), str)
+            and "datasets" in entry
+        ):
+            return None
+        names = entry["datasets"]
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+        ):
+            return None
+    return entries
+
+
+class RegistryRecord:
+    """What each payload file of the registry references, by the hash of
+    its bytes: ``warehouse/reconcile.json``.
+
+    ``entries`` maps a payload file name to the sha256 of its bytes and
+    either the sorted names of the datasets the payload references or
+    None, when the bytes do not parse. A walk of the registry
+    (``payload_index``) replaces them with what it found. The record is
+    written only by the pipeline and trusted as ``manifest.json`` is.
+    """
+
+    def __init__(self, path: Union[str, Path]):
+        self.path = Path(path)
+        self._stored = _read_record(self.path)
+        self.entries: Dict[str, dict] = self._stored or {}
+
+    def save(self) -> None:
+        """Write the entries when they differ from the file's; a
+        warehouse that cannot be written still runs, uncached."""
+        if self.entries == self._stored:
+            return
+        record = {"tag": _RECORD_TAG, "payloads": self.entries}
+        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write(self.path, text.encode("utf-8"))
+        except OSError:
+            return
+        self._stored = self.entries
+
+
+def _parsed_entry(sha256: str, data: bytes) -> Tuple[dict, Optional[AnalysisPayload]]:
+    """The record entry of payload bytes, and the payload when they parse."""
+    try:
+        payload = parse_payload(data)
+    except PayloadError:
+        return {"sha256": sha256, "datasets": None}, None
+    return {"sha256": sha256, "datasets": sorted(payload.datasets())}, payload
+
+
 def payload_index(
     registry_dir: Union[str, Path],
-) -> Tuple[Dict[str, AnalysisPayload], List[str]]:
-    """Parse every payload file of the registry, by file name; also
-    returns the names of unreadable or unparseable payload files."""
-    index: Dict[str, AnalysisPayload] = {}
+    record: Optional[RegistryRecord] = None,
+    updated: AbstractSet[str] = frozenset(),
+) -> Tuple[Dict[str, List[str]], Dict[str, AnalysisPayload], List[str]]:
+    """Walk the registry: the sorted names of the datasets each payload
+    file references, by file name; the parsed payloads of the files that
+    reference a dataset of ``updated``; and the names of the unreadable
+    or unparseable files. Every result is in file-name order.
+
+    Every file is read and hashed. It is parsed only when ``record``
+    holds no entry for its hash, or when its entry names an updated
+    dataset; that parse then decides whether it runs, so a stale record
+    never runs bytes that do not parse. ``record.entries`` becomes what
+    the walk found; an unreadable file has no entry.
+    """
+    references: Dict[str, List[str]] = {}
+    selected: Dict[str, AnalysisPayload] = {}
     broken: List[str] = []
+    known = record.entries if record is not None else {}
+    found: Dict[str, dict] = {}
     registry = Path(registry_dir)
-    if not registry.is_dir():
-        return index, broken
-    for path in sorted(registry.glob("*.json")):
+    for path in sorted(registry.glob("*.json")) if registry.is_dir() else ():
         try:
-            index[path.name] = parse_payload(path.read_bytes())
-        except (PayloadError, OSError):
+            data = path.read_bytes()
+        except OSError:
             broken.append(path.name)
-    return index, broken
+            continue
+        sha256 = hashlib.sha256(data).hexdigest()
+        entry, payload = known.get(path.name), None
+        if (
+            entry is None
+            or entry["sha256"] != sha256
+            or (entry["datasets"] is not None and not updated.isdisjoint(entry["datasets"]))
+        ):
+            entry, payload = _parsed_entry(sha256, data)
+        found[path.name] = entry
+        if entry["datasets"] is None:
+            broken.append(path.name)
+            continue
+        references[path.name] = entry["datasets"]
+        if not updated.isdisjoint(entry["datasets"]):
+            selected[path.name] = payload
+    if record is not None:
+        record.entries = found
+    return references, selected, broken
 
 
 def select_affected_payloads(
-    updates: List[UpdateRecord], registry_dir: Union[str, Path]
+    updates: List[UpdateRecord],
+    registry_dir: Union[str, Path],
+    record: Optional[RegistryRecord] = None,
 ) -> Tuple[Dict[str, AnalysisPayload], List[str]]:
     """Parsed payloads referencing at least one updated dataset, by file
-    name.
+    name, and the names of the unreadable or unparseable payload files.
 
     Deterministic (lexicographic by file name); unparseable payloads are
-    reported back, never fatal.
+    reported back, never fatal. With ``record``, only new, changed and
+    selected files are parsed (see ``payload_index``).
     """
-    updated_names = {u.dataset for u in updates}
-    index, broken = payload_index(registry_dir)
-    selected = {
-        name: payload
-        for name, payload in index.items()
-        if not updated_names.isdisjoint(payload.datasets())
-    }
+    _, selected, broken = payload_index(
+        registry_dir, record, {u.dataset for u in updates}
+    )
     return selected, broken
 
 
 def run_payload_file(
-    name: str, payload: AnalysisPayload, warehouse: Warehouse, cache: DatasetCache
+    name: str,
+    payload: AnalysisPayload,
+    warehouse: Warehouse,
+    cache: DatasetCache,
+    manifest: Optional[Dict[str, dict]] = None,
 ) -> RunOutcome:
     """Validate, resolve, execute and store one parsed payload.
 
     The one payload path of both ``sync`` and ``a4l run``; ``name`` is
-    the payload's file name. The manifest is read once, so validation
-    and execution see the same versions. ``cache`` shares loaded
-    datasets with the other payloads of a cycle. A referenced dataset
-    that cannot be read or parsed fails this payload only, with status
-    ``error``.
+    the payload's file name. ``manifest`` holds the entries of
+    ``warehouse.manifest()``, which are read now when not given;
+    validation and execution both use them, so they see the same
+    versions. ``cache`` shares loaded datasets with the other payloads of
+    a cycle. A referenced dataset that cannot be read or parsed fails
+    this payload only, with status ``error``.
     """
     try:
-        manifest = warehouse.manifest()
+        if manifest is None:
+            manifest = warehouse.manifest()
         catalog = warehouse.column_catalog(cache, manifest)
         report = validate_payload(payload, catalog=catalog)
     except (A4LError, OSError) as exc:
@@ -267,22 +388,38 @@ def run_payload_file(
     )
 
 
+def internal_error(exc: Exception) -> str:
+    """The detail reported for an exception no pipeline step expects;
+    its traceback goes to stderr."""
+    # imported on this path only: traceback and the modules it loads hold
+    # about 0.25 MB that a run without such an exception never needs
+    import traceback
+
+    traceback.print_exception(type(exc), exc, exc.__traceback__, file=sys.stderr)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_cycle(root: Union[str, Path]) -> SyncReport:
     """One full orchestration cycle over the pipeline root.
 
     Raises LockHeldError (without side effects) when another cycle is
-    active. Per-payload failures are recorded in the report and never
-    abort the remaining payloads.
+    active. Per-payload failures, an unexpected exception included, are
+    recorded in the report and never abort the remaining payloads. The
+    manifest is read once, and the registry record is written only when
+    a payload file was added, changed or removed.
     """
     root = Path(root)
     with CycleLock(root / ".a4l.lock") as lock:
         report = SyncReport(scanned_at=utc_now_rfc3339())
         warehouse = Warehouse(root)
         scan = scan_store(root / "store")
-        updates = sync_warehouse(scan, warehouse, lock)
+        manifest = warehouse.manifest()
+        updates = sync_warehouse(scan, warehouse, lock, manifest)
         report.updated = updates
 
-        selected, broken = select_affected_payloads(updates, root / "payloads")
+        record = RegistryRecord(warehouse.reconcile_path)
+        selected, broken = select_affected_payloads(updates, root / "payloads", record)
+        record.save()
         report.selected_payloads = list(selected)
         for name in broken:
             report.run_outcomes.append(
@@ -294,7 +431,11 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
         cache = DatasetCache()
         pending = Counter(d for payload in selected.values() for d in payload.datasets())
         for name, payload in selected.items():
-            report.run_outcomes.append(run_payload_file(name, payload, warehouse, cache))
+            try:
+                outcome = run_payload_file(name, payload, warehouse, cache, manifest)
+            except Exception as exc:  # a defect fails its own payload only
+                outcome = RunOutcome(payload_file=name, status="error", detail=internal_error(exc))
+            report.run_outcomes.append(outcome)
             pending.subtract(payload.datasets())
             cache.retain(d for d, count in pending.items() if count > 0)
 

@@ -354,6 +354,23 @@ def parses(monkeypatch):
 
 
 @pytest.fixture
+def payload_parses(monkeypatch):
+    """The bytes of every parse made through orchestrator.parse_payload,
+    the registry walk's parser."""
+    from a4l_analytics import orchestrator
+
+    parsed = []
+    original = orchestrator.parse_payload
+
+    def counting(raw):
+        parsed.append(raw)
+        return original(raw)
+
+    monkeypatch.setattr(orchestrator, "parse_payload", counting)
+    return parsed
+
+
+@pytest.fixture
 def derived(monkeypatch):
     """Every group split, group summary and kernel call the runner makes.
 

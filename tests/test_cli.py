@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from a4l_analytics import orchestrator
 from a4l_analytics.cli import main
 from a4l_analytics.dataset import Warehouse
 from a4l_analytics.orchestrator import CycleLock, run_cycle
@@ -142,6 +143,67 @@ class TestRun:
             str(synced_root / "payloads" / "sami_fall24.json"),
         )
         assert code == 0
+
+
+def _tree(root):
+    """Every file below ``root`` with its bytes."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRunUnderContention:
+    def test_exits_5_and_writes_nothing_while_a_cycle_holds_the_lock(
+        self, synced_root, capsys
+    ):
+        payload = str(synced_root / "payloads" / "jw_fall23.json")
+        root = str(synced_root)
+        shutil.rmtree(synced_root / "results")
+        lock = CycleLock(synced_root / ".a4l.lock")
+        assert lock.acquire()
+        try:
+            before = _tree(synced_root)
+            outputs = []
+            for argv in (
+                ["run", payload],
+                ["sync"],
+                ["--json", "run", payload],
+                ["--json", "sync"],
+            ):
+                assert run_cli("--root", root, *argv) == 5
+                outputs.append(capsys.readouterr().out)
+            assert _tree(synced_root) == before
+        finally:
+            lock.release()
+        run_human, sync_human, run_machine, sync_machine = outputs
+        assert run_human == sync_human
+        assert run_human.startswith("locked: another cycle holds ")
+        assert json.loads(run_machine) == json.loads(sync_machine)
+        assert run_cli("--root", root, "run", payload) == 0
+        assert (synced_root / "results" / "jw" / "jw_fall23_ttest.json").is_file()
+
+    def test_validate_takes_no_lock(self, synced_root, capsys):
+        lock = CycleLock(synced_root / ".a4l.lock")
+        assert lock.acquire()
+        try:
+            payload = str(synced_root / "payloads" / "jw_fall23.json")
+            assert run_cli("--root", str(synced_root), "validate", payload) == 0
+        finally:
+            lock.release()
+
+
+class TestInternalError:
+    def test_run_exits_6(self, synced_root, capsys, monkeypatch):
+        def failing(payload, staged, cache=None):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(orchestrator, "execute_payload", failing)
+        payload = str(synced_root / "payloads" / "jw_fall23.json")
+        assert run_cli("--root", str(synced_root), "run", payload) == 6
+        assert capsys.readouterr().out == "internal error: KeyError: 'boom'\n"
+        assert run_cli("--root", str(synced_root), "--json", "run", payload) == 6
+        assert json.loads(capsys.readouterr().out) == {"error": "KeyError: 'boom'"}
+        # the lock was released
+        monkeypatch.undo()
+        assert run_cli("--root", str(synced_root), "run", payload) == 0
 
 
 class TestUndecodablePayload:
@@ -413,6 +475,29 @@ class TestList:
         out = capsys.readouterr().out
         assert out.startswith("error: ")
         assert "manifest.json" in out and "'sami_fall24_usage'" in out
+
+    def test_json_output_does_not_depend_on_the_record(self, synced_root, capsys):
+        (synced_root / "payloads" / "broken.json").write_text("{nope", encoding="utf-8")
+        run_cycle(synced_root)
+        record = synced_root / "warehouse" / "reconcile.json"
+        stored = record.read_bytes()
+        # an edit the record does not know of yet
+        sami = synced_root / "payloads" / "sami_fall24.json"
+        doc = json.loads(sami.read_text(encoding="utf-8"))
+        doc["analyses"][0]["dataset"] = "jw_fall23_usage"
+        sami.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("--root", str(synced_root), "--json", "list") == 0
+        with_record = json.loads(capsys.readouterr().out)
+        assert record.read_bytes() == stored
+        record.unlink()
+        assert run_cli("--root", str(synced_root), "--json", "list") == 0
+        assert json.loads(capsys.readouterr().out) == with_record
+        assert not record.exists()
+        assert with_record["unparseable"] == ["broken.json"]
+        assert with_record["payloads"]["sami_fall24.json"] == [
+            "jw_fall23_usage",
+            "sami_fall24_usage",
+        ]
 
     def test_json_output(self, synced_root, capsys):
         code = run_cli("--root", str(synced_root), "--json", "list")

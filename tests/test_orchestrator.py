@@ -297,7 +297,7 @@ class TestColumnFiles:
 
 
 class TestManifestReads:
-    def test_read_once_per_sync_and_once_per_payload(self, domain_root, monkeypatch):
+    def test_read_once_per_cycle(self, domain_root, monkeypatch):
         reads = []
         original = Warehouse.manifest
 
@@ -308,7 +308,7 @@ class TestManifestReads:
         monkeypatch.setattr(Warehouse, "manifest", counting)
         report = run_cycle(domain_root)
         assert len(report.selected_payloads) == 3
-        assert len(reads) == 1 + 3
+        assert len(reads) == 1
 
 
 class TestSelection:
@@ -355,6 +355,174 @@ class TestSelection:
         selected, broken = select_affected_payloads(updates, synced_root / "payloads")
         assert broken == ["broken.json"]
         assert list(selected) == ["sami_fall24.json"]
+
+
+def _read_record(root):
+    return json.loads((root / "warehouse" / "reconcile.json").read_text(encoding="utf-8"))
+
+
+def _touch_store(root, name="sami_fall24_usage"):
+    """Append a copy of a data row to a store file, so the next cycle
+    updates that dataset."""
+    path = root / "store" / f"{name}.csv"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text + text.splitlines()[1] + "\n", encoding="utf-8")
+
+
+class TestRegistryRecord:
+    """warehouse/reconcile.json: payload files are parsed once per hash."""
+
+    PAYLOADS = ["jw_fall23.json", "sami_fall24.json", "vera_summer23.json"]
+
+    def test_first_cycle_records_every_payload_file(self, domain_root):
+        run_cycle(domain_root)
+        record = _read_record(domain_root)
+        assert record["tag"] == ["a4l-reconcile", 1]
+        assert sorted(record["payloads"]) == self.PAYLOADS
+        for name, entry in record["payloads"].items():
+            data = (domain_root / "payloads" / name).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert record["payloads"]["sami_fall24.json"]["datasets"] == ["sami_fall24_usage"]
+
+    def test_idle_cycle_parses_nothing(self, synced_root, payload_parses):
+        report = run_cycle(synced_root)
+        assert report.selected_payloads == [] and report.run_outcomes == []
+        assert payload_parses == []
+
+    def test_selected_payload_is_parsed_alone(self, synced_root, payload_parses):
+        _touch_store(synced_root)
+        report = run_cycle(synced_root)
+        assert report.selected_payloads == ["sami_fall24.json"]
+        assert payload_parses == [(synced_root / "payloads" / "sami_fall24.json").read_bytes()]
+
+    def test_broken_payload_reported_on_every_idle_cycle(self, synced_root, payload_parses):
+        (synced_root / "payloads" / "broken.json").write_text("{nope", encoding="utf-8")
+        first = run_cycle(synced_root)
+        assert payload_parses == [b"{nope"]
+        assert _read_record(synced_root)["payloads"]["broken.json"]["datasets"] is None
+        for _ in range(2):
+            report = run_cycle(synced_root)
+            assert report.run_outcomes == first.run_outcomes
+            assert [(o.payload_file, o.status, o.detail) for o in report.run_outcomes] == [
+                ("broken.json", "parse_failed", "unparseable payload")
+            ]
+        assert payload_parses == [b"{nope"]
+
+    def test_unreadable_payload_reported_and_not_recorded(self, synced_root, payload_parses):
+        (synced_root / "payloads" / "dir.json").mkdir()
+        for _ in range(2):
+            report = run_cycle(synced_root)
+            assert [(o.payload_file, o.status) for o in report.run_outcomes] == [
+                ("dir.json", "parse_failed")
+            ]
+        assert sorted(_read_record(synced_root)["payloads"]) == self.PAYLOADS
+        assert payload_parses == []
+
+    def test_edited_payload_parsed_once_then_recorded(self, synced_root, payload_parses):
+        path = synced_root / "payloads" / "sami_fall24.json"
+        edited = json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=4).encode()
+        path.write_bytes(edited)
+        run_cycle(synced_root)
+        assert payload_parses == [edited]
+        entry = _read_record(synced_root)["payloads"]["sami_fall24.json"]
+        assert entry["sha256"] == hashlib.sha256(edited).hexdigest()
+        run_cycle(synced_root)
+        assert payload_parses == [edited]
+
+    def test_deleted_payload_leaves_the_record(self, synced_root, payload_parses):
+        (synced_root / "payloads" / "jw_fall23.json").unlink()
+        run_cycle(synced_root)
+        assert sorted(_read_record(synced_root)["payloads"]) == [
+            "sami_fall24.json",
+            "vera_summer23.json",
+        ]
+        assert payload_parses == []
+
+    # whole-file replacements, or changes to the tag or to one entry
+    UNUSABLE = {
+        "corrupt": "{broken",
+        "too_deep": "[" * 100_000,
+        "not_an_object": "[]",
+        "foreign_tag": {"tag": ["other-record", 1]},
+        "other_format": {"tag": ["a4l-reconcile", 2]},
+        "no_datasets": {"sami_fall24.json": {"sha256": "0" * 64}},
+        "bad_dataset_name": {"sami_fall24.json": {"sha256": "0" * 64, "datasets": [7]}},
+    }
+
+    @pytest.mark.parametrize("unusable", sorted(UNUSABLE))
+    def test_unusable_record_is_ignored_and_rewritten(
+        self, synced_root, payload_parses, unusable
+    ):
+        expected = _read_record(synced_root)
+        edit = self.UNUSABLE[unusable]
+        if isinstance(edit, str):
+            text = edit
+        else:
+            # the other entries keep their hashes, so only ignoring the
+            # whole record makes the cycle parse them
+            record = _read_record(synced_root)
+            for key, value in edit.items():
+                (record if key == "tag" else record["payloads"])[key] = value
+            text = json.dumps(record)
+        (synced_root / "warehouse" / "reconcile.json").write_text(text, encoding="utf-8")
+        report = run_cycle(synced_root)
+        assert report.selected_payloads == [] and report.run_outcomes == []
+        assert len(payload_parses) == len(self.PAYLOADS)
+        assert _read_record(synced_root) == expected
+        run_cycle(synced_root)
+        assert len(payload_parses) == len(self.PAYLOADS)
+
+    def test_unwritable_record_leaves_the_cycle_working(
+        self, domain_root, monkeypatch, payload_parses
+    ):
+        write = orchestrator.atomic_write
+
+        def failing(path, data):
+            if Path(path).name == "reconcile.json":
+                raise OSError("read-only")
+            write(path, data)
+
+        monkeypatch.setattr(orchestrator, "atomic_write", failing)
+        report = run_cycle(domain_root)
+        assert report.selected_payloads == self.PAYLOADS and report.all_ok()
+        assert not (domain_root / "warehouse" / "reconcile.json").exists()
+        # uncached: every file is parsed again, and nothing is selected
+        assert run_cycle(domain_root).run_outcomes == []
+        assert len(payload_parses) == 2 * len(self.PAYLOADS)
+
+    def test_selected_payload_that_does_not_parse_fails(self, synced_root, payload_parses):
+        # a record that says the bytes parse never runs them: the
+        # selected file's own parse decides
+        bad = b'{"payload_version": 1, "domain": "sami"}'
+        (synced_root / "payloads" / "sami_fall24.json").write_bytes(bad)
+        path = synced_root / "warehouse" / "reconcile.json"
+        record = _read_record(synced_root)
+        record["payloads"]["sami_fall24.json"]["sha256"] = hashlib.sha256(bad).hexdigest()
+        path.write_text(json.dumps(record), encoding="utf-8")
+        _touch_store(synced_root)
+        report = run_cycle(synced_root)
+        assert report.selected_payloads == []
+        assert [(o.payload_file, o.status) for o in report.run_outcomes] == [
+            ("sami_fall24.json", "parse_failed")
+        ]
+        assert payload_parses == [bad]
+        assert _read_record(synced_root)["payloads"]["sami_fall24.json"]["datasets"] is None
+
+    def test_idle_cycle_writes_only_its_report(self, synced_root, monkeypatch):
+        record = synced_root / "warehouse" / "reconcile.json"
+        before = record.stat()
+        written = []
+        write = orchestrator.atomic_write
+
+        def recording(path, data):
+            written.append(Path(path).parent.name)
+            write(path, data)
+
+        monkeypatch.setattr(orchestrator, "atomic_write", recording)
+        run_cycle(synced_root)
+        assert written == ["runs"]
+        after = record.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
 class TestCycleLock:
@@ -502,6 +670,31 @@ class TestRunCycle:
         assert "vanished_column" in by_file["bad.json"].detail
         assert by_file["jw_fall23.json"].status == "ok"
         assert not report.all_ok()
+
+    def test_unexpected_exception_fails_only_its_payload(self, domain_root, monkeypatch):
+        execute = orchestrator.execute_payload
+
+        def failing(payload, staged, cache=None):
+            if payload.domain == "sami":
+                raise KeyError("boom")
+            return execute(payload, staged, cache)
+
+        monkeypatch.setattr(orchestrator, "execute_payload", failing)
+        report = run_cycle(domain_root)
+        assert report.selected_payloads == [
+            "jw_fall23.json",
+            "sami_fall24.json",
+            "vera_summer23.json",
+        ]
+        outcomes = [(o.payload_file, o.status, o.detail) for o in report.run_outcomes]
+        assert outcomes == [
+            ("jw_fall23.json", "ok", None),
+            ("sami_fall24.json", "error", "KeyError: 'boom'"),
+            ("vera_summer23.json", "ok", None),
+        ]
+        (stored,) = (domain_root / "runs").glob("*.json")
+        stored = strict_loads(stored.read_text(encoding="utf-8"))
+        assert stored["run_outcomes"][1]["detail"] == "KeyError: 'boom'"
 
     def test_crash_between_sync_and_run_is_safe(self, domain_root):
         # simulate a crash after sync by syncing without running
@@ -710,10 +903,10 @@ class TestParseOnce:
             alive[name] = weakref.ref(ds)
             return ds
 
-        def recording_run(name, payload, warehouse, cache):
+        def recording_run(name, payload, warehouse, cache, manifest):
             live = sorted(n for n, ref in alive.items() if ref() is not None)
             seen.append((name, live))
-            return original_run(name, payload, warehouse, cache)
+            return original_run(name, payload, warehouse, cache, manifest)
 
         monkeypatch.setattr(orchestrator.DatasetCache, "get", tracking_get)
         monkeypatch.setattr(orchestrator, "run_payload_file", recording_run)

@@ -3,7 +3,9 @@
 Datasets are RFC 4180 CSV files with a header row. Column kinds are
 inferred deterministically (numeric, then boolean, then categorical) and
 the empty string is a missing cell. Dataset identity is the SHA-256 of
-the file bytes, so change detection never relies on timestamps.
+the file bytes, so a version is never told by a timestamp; a file's stat
+decides only whether its bytes must be read and hashed again (see
+``orchestrator.scan_store``).
 
 Each version is parsed once per warehouse: its typed columns are kept in
 ``columns/<sha256>.marshal`` beside the CSV and loaded from there after.
@@ -331,8 +333,10 @@ class Warehouse:
         warehouse/manifest.json       {"<name>": {"sha256", "bytes", "updated"}}
         warehouse/columns/<sha256>.marshal
                                       typed columns of each version parsed
-        warehouse/reconcile.json      what each payload file references,
-                                      by its sha256 (orchestrator.RegistryRecord)
+        warehouse/reconcile.json      the sha256 and stat witness of each
+                                      payload and store file, and what each
+                                      payload references
+                                      (orchestrator.RegistryRecord)
         archive/<name>/<sha256>.csv   superseded versions, named by their hash
     """
 
@@ -353,7 +357,8 @@ class Warehouse:
         try:
             with open(self.manifest_path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (json.JSONDecodeError, OSError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
             raise ManifestError(f"{self.manifest_path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ManifestError(f"{self.manifest_path}: manifest must be an object")

@@ -6,7 +6,9 @@ payloads reference the updated datasets, and runs exactly those. The
 cycle is idempotent: re-running against an unchanged store selects
 nothing. A lock file makes cycles mutually exclusive; dataset hashes
 (not timestamps) decide what counts as new data, and payload hashes
-decide which payload files must be parsed again.
+decide which payload files must be parsed again. A file's stat decides
+only whether its bytes must be read and hashed again: the registry
+record keeps each input's hash beside the stat it had when hashed.
 """
 
 import fcntl
@@ -75,11 +77,16 @@ class CycleLock:
     exclude each other within one process too. The file itself is never
     removed: unlinking it would let a later starter lock a new file while
     an earlier one still holds the old.
+
+    Acquiring touches the file and keeps its new ``st_mtime_ns`` as
+    ``stamp``: a reading of the filesystem's own clock, taken before the
+    holder looks at any input (see ``_trusted``).
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._fd: Optional[int] = None
+        self.stamp: Optional[int] = None
 
     @property
     def held(self) -> bool:
@@ -89,9 +96,14 @@ class CycleLock:
         fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            os.utime(fd)
+            self.stamp = os.fstat(fd).st_mtime_ns
         except BlockingIOError:
             os.close(fd)
             return False
+        except BaseException:
+            os.close(fd)
+            raise
         self._fd = fd
         return True
 
@@ -99,6 +111,7 @@ class CycleLock:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
+            self.stamp = None
 
     def __enter__(self) -> "CycleLock":
         if not self.acquire():
@@ -109,17 +122,74 @@ class CycleLock:
         self.release()
 
 
-def scan_store(store_dir: Union[str, Path]) -> Dict[str, str]:
-    """Hash every CSV in the published data store."""
+def _listing(directory: Path, suffix: str) -> List[os.DirEntry]:
+    """The entries of ``directory`` that ``directory.glob("*" + suffix)``
+    selects (hidden ones and directories too, names matched with case),
+    sorted by name; none when the directory cannot be listed, as with
+    ``glob``."""
+    try:
+        with os.scandir(directory) as entries:
+            found = [e for e in entries if e.name.endswith(suffix)]
+    except OSError:
+        return []
+    found.sort(key=lambda e: e.name)
+    return found
+
+
+def _witness(st: os.stat_result) -> List[int]:
+    """The stat fields that change whenever a file's bytes are replaced."""
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _trusted(witness: List[int], stamp: Optional[int]) -> bool:
+    """Whether ``witness``, taken after the lock was stamped ``stamp``,
+    may later stand for its file's bytes.
+
+    Any change made after the stat sets the file's mtime and ctime at or
+    after the stamp, so a witness whose times both precede it differs
+    from the stat of every later version. A file whose mtime or ctime
+    already reads the stamp's tick or later could be rewritten within
+    that tick, with the same size, and keep its stat: its witness is
+    not kept, so the file is hashed again on the next cycle (git's
+    racy-clean rule). Without a stamp nothing is trusted.
+    """
+    return stamp is not None and witness[3] < stamp and witness[4] < stamp
+
+
+def scan_store(
+    store_dir: Union[str, Path],
+    record: Optional["RegistryRecord"] = None,
+    stamp: Optional[int] = None,
+) -> Dict[str, str]:
+    """The sha256 of every CSV in the published data store, by dataset
+    name.
+
+    Each file is stat'ed before it is read. With ``record``, a file whose
+    stat equals the witness of its entry in ``record.store`` is not read
+    again; every other file is hashed, and ``record.store`` becomes what
+    the scan found, with the witness of each file hashed under the lock
+    stamped ``stamp`` kept only when ``_trusted``.
+    """
     store = Path(store_dir)
     if not store.is_dir():
         raise A4LError(f"published store directory {store} does not exist")
+    known = record.store if record is not None else {}
+    found: Dict[str, dict] = {}
     result = {}
-    for path in sorted(store.glob("*.csv")):
+    for item in _listing(store, ".csv"):
+        name = Path(item.name).stem
         try:
-            result[path.stem] = sha256_file(path)
+            witness = _witness(item.stat())
+            entry = known.get(name)
+            if entry is None or entry["stat"] != witness:
+                stat = witness if _trusted(witness, stamp) else None
+                entry = {"sha256": sha256_file(item.path), "stat": stat}
         except OSError as exc:
-            raise A4LError(f"unreadable store file {path}: {exc}") from exc
+            raise A4LError(f"unreadable store file {item.path}: {exc}") from exc
+        found[name] = entry
+        result[name] = entry["sha256"]
+    if record is not None:
+        record.store = found
     return result
 
 
@@ -200,126 +270,157 @@ def sync_warehouse(
 
 
 # The format number of the registry record. Bump it whenever
-# parse_payload accepts or rejects different bytes, or
-# AnalysisPayload.datasets() changes: a record of another format is
-# ignored and written again, as a column file of another
-# _COLUMNS_FORMAT is.
-_RECORD_FORMAT = 1
+# parse_payload accepts or rejects different bytes,
+# AnalysisPayload.datasets() changes or the entries' fields change: a
+# record of another format is ignored and written again, as a column
+# file of another _COLUMNS_FORMAT is.
+_RECORD_FORMAT = 2
 _RECORD_TAG = ["a4l-reconcile", _RECORD_FORMAT]
 
 
-def _read_record(path: Path) -> Optional[Dict[str, dict]]:
-    """The registry record's entries at ``path``, or None when the file
-    is missing, unreadable, of another tag or format, or malformed."""
+def _is_witness(stat) -> bool:
+    return stat is None or (
+        type(stat) is list and len(stat) == 5 and all(type(v) is int for v in stat)
+    )
+
+
+def _read_record(path: Path) -> Optional[Dict[str, Dict[str, dict]]]:
+    """The registry record's ``payloads`` and ``store`` sections at
+    ``path``, or None when the file is missing, unreadable, of another
+    tag or format, or malformed in either section."""
     try:
         data = json.loads(path.read_bytes())
     except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(data, dict) or data.get("tag") != _RECORD_TAG:
         return None
-    entries = data.get("payloads")
-    if not isinstance(entries, dict):
+    sections = {key: data.get(key) for key in ("payloads", "store")}
+    if not all(isinstance(entries, dict) for entries in sections.values()):
         return None
-    for entry in entries.values():
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("sha256"), str)
-            and "datasets" in entry
-        ):
-            return None
-        names = entry["datasets"]
-        if names is not None and not (
-            isinstance(names, list) and all(isinstance(n, str) for n in names)
-        ):
-            return None
-    return entries
+    for key, entries in sections.items():
+        for entry in entries.values():
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("sha256"), str)
+                and _is_witness(entry.get("stat", 0))
+            ):
+                return None
+            if key == "payloads":
+                names = entry.get("datasets", 0)
+                if names is not None and not (
+                    isinstance(names, list) and all(isinstance(n, str) for n in names)
+                ):
+                    return None
+    return sections
 
 
 class RegistryRecord:
-    """What each payload file of the registry references, by the hash of
-    its bytes: ``warehouse/reconcile.json``.
+    """The hash of each input file's bytes, beside the stat the file had
+    when they were hashed: ``warehouse/reconcile.json``.
 
-    ``entries`` maps a payload file name to the sha256 of its bytes and
+    ``payloads`` maps a payload file name to the sha256 of its bytes, its
+    stat witness (``_witness``, or None when it could not be trusted) and
     either the sorted names of the datasets the payload references or
-    None, when the bytes do not parse. A walk of the registry
-    (``payload_index``) replaces them with what it found. The record is
+    None, when the bytes do not parse. ``store`` maps a dataset name to
+    the sha256 and the stat witness of its store file. A walk of the
+    registry (``payload_index``) and a scan of the store (``scan_store``)
+    each replace their section with what they found. The record is
     written only by the pipeline and trusted as ``manifest.json`` is.
     """
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._stored = _read_record(self.path)
-        self.entries: Dict[str, dict] = self._stored or {}
+        stored = self._stored or {"payloads": {}, "store": {}}
+        self.payloads: Dict[str, dict] = stored["payloads"]
+        self.store: Dict[str, dict] = stored["store"]
 
     def save(self) -> None:
-        """Write the entries when they differ from the file's; a
+        """Write the sections when they differ from the file's; a
         warehouse that cannot be written still runs, uncached."""
-        if self.entries == self._stored:
+        sections = {"payloads": self.payloads, "store": self.store}
+        if sections == self._stored:
             return
-        record = {"tag": _RECORD_TAG, "payloads": self.entries}
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        # compact, so that json's C encoder writes it: a working cycle
+        # writes the record whenever a store file changed
+        record = {"tag": _RECORD_TAG, **sections}
+        text = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             atomic_write(self.path, text.encode("utf-8"))
         except OSError:
             return
-        self._stored = self.entries
+        self._stored = sections
 
 
-def _parsed_entry(sha256: str, data: bytes) -> Tuple[dict, Optional[AnalysisPayload]]:
+def _parsed_entry(
+    sha256: str, stat: Optional[List[int]], data: bytes
+) -> Tuple[dict, Optional[AnalysisPayload]]:
     """The record entry of payload bytes, and the payload when they parse."""
     try:
         payload = parse_payload(data)
     except PayloadError:
-        return {"sha256": sha256, "datasets": None}, None
-    return {"sha256": sha256, "datasets": sorted(payload.datasets())}, payload
+        return {"sha256": sha256, "stat": stat, "datasets": None}, None
+    return {"sha256": sha256, "stat": stat, "datasets": sorted(payload.datasets())}, payload
 
 
 def payload_index(
     registry_dir: Union[str, Path],
     record: Optional[RegistryRecord] = None,
     updated: AbstractSet[str] = frozenset(),
+    stamp: Optional[int] = None,
 ) -> Tuple[Dict[str, List[str]], Dict[str, AnalysisPayload], List[str]]:
     """Walk the registry: the sorted names of the datasets each payload
     file references, by file name; the parsed payloads of the files that
     reference a dataset of ``updated``; and the names of the unreadable
     or unparseable files. Every result is in file-name order.
 
-    Every file is read and hashed. It is parsed only when ``record``
-    holds no entry for its hash, or when its entry names an updated
-    dataset; that parse then decides whether it runs, so a stale record
-    never runs bytes that do not parse. ``record.entries`` becomes what
-    the walk found; an unreadable file has no entry.
+    Each file is stat'ed before it is read. It is read and hashed when
+    ``record`` holds no entry for it whose witness equals that stat, and
+    it is parsed only when no entry holds its hash, or when its entry
+    names an updated dataset; that parse then decides whether it runs,
+    so a stale record never runs bytes that do not parse.
+    ``record.payloads`` becomes what the walk found, with the witness of
+    each file read under the lock stamped ``stamp`` kept only when
+    ``_trusted``; an unreadable file has no entry.
     """
     references: Dict[str, List[str]] = {}
     selected: Dict[str, AnalysisPayload] = {}
     broken: List[str] = []
-    known = record.entries if record is not None else {}
+    known = record.payloads if record is not None else {}
     found: Dict[str, dict] = {}
     registry = Path(registry_dir)
-    for path in sorted(registry.glob("*.json")) if registry.is_dir() else ():
+    for item in _listing(registry, ".json") if registry.is_dir() else ():
+        name = item.name
+        entry, payload = known.get(name), None
+        selects = (
+            entry is not None
+            and entry["datasets"] is not None
+            and not updated.isdisjoint(entry["datasets"])
+        )
         try:
-            data = path.read_bytes()
+            witness = _witness(item.stat())
+            fresh = entry is None or entry["stat"] != witness or selects
+            data = Path(item.path).read_bytes() if fresh else None
         except OSError:
-            broken.append(path.name)
+            broken.append(name)
             continue
-        sha256 = hashlib.sha256(data).hexdigest()
-        entry, payload = known.get(path.name), None
-        if (
-            entry is None
-            or entry["sha256"] != sha256
-            or (entry["datasets"] is not None and not updated.isdisjoint(entry["datasets"]))
-        ):
-            entry, payload = _parsed_entry(sha256, data)
-        found[path.name] = entry
+        if data is not None:
+            sha256 = hashlib.sha256(data).hexdigest()
+            stat = witness if _trusted(witness, stamp) else None
+            if entry is None or entry["sha256"] != sha256 or selects:
+                entry, payload = _parsed_entry(sha256, stat, data)
+            else:
+                entry = dict(entry, stat=stat)
+        found[name] = entry
         if entry["datasets"] is None:
-            broken.append(path.name)
+            broken.append(name)
             continue
-        references[path.name] = entry["datasets"]
+        references[name] = entry["datasets"]
         if not updated.isdisjoint(entry["datasets"]):
-            selected[path.name] = payload
+            selected[name] = payload
     if record is not None:
-        record.entries = found
+        record.payloads = found
     return references, selected, broken
 
 
@@ -327,16 +428,17 @@ def select_affected_payloads(
     updates: List[UpdateRecord],
     registry_dir: Union[str, Path],
     record: Optional[RegistryRecord] = None,
+    stamp: Optional[int] = None,
 ) -> Tuple[Dict[str, AnalysisPayload], List[str]]:
     """Parsed payloads referencing at least one updated dataset, by file
     name, and the names of the unreadable or unparseable payload files.
 
     Deterministic (lexicographic by file name); unparseable payloads are
     reported back, never fatal. With ``record``, only new, changed and
-    selected files are parsed (see ``payload_index``).
+    selected files are read and parsed (see ``payload_index``).
     """
     _, selected, broken = payload_index(
-        registry_dir, record, {u.dataset for u in updates}
+        registry_dir, record, {u.dataset for u in updates}, stamp
     )
     return selected, broken
 
@@ -406,19 +508,22 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
     active. Per-payload failures, an unexpected exception included, are
     recorded in the report and never abort the remaining payloads. The
     manifest is read once, and the registry record is written only when
-    a payload file was added, changed or removed.
+    one of its entries changed: an input file was added, changed or
+    removed, or a witness became trusted.
     """
     root = Path(root)
     with CycleLock(root / ".a4l.lock") as lock:
         report = SyncReport(scanned_at=utc_now_rfc3339())
         warehouse = Warehouse(root)
-        scan = scan_store(root / "store")
+        record = RegistryRecord(warehouse.reconcile_path)
+        scan = scan_store(root / "store", record, lock.stamp)
         manifest = warehouse.manifest()
         updates = sync_warehouse(scan, warehouse, lock, manifest)
         report.updated = updates
 
-        record = RegistryRecord(warehouse.reconcile_path)
-        selected, broken = select_affected_payloads(updates, root / "payloads", record)
+        selected, broken = select_affected_payloads(
+            updates, root / "payloads", record, lock.stamp
+        )
         record.save()
         report.selected_payloads = list(selected)
         for name in broken:

@@ -371,6 +371,31 @@ def payload_parses(monkeypatch):
 
 
 @pytest.fixture
+def input_reads(monkeypatch):
+    """Every store file hashed through orchestrator.sha256_file, as
+    ("hash", "store/<file>"), and every store or payload file read whole
+    through Path.read_bytes, as ("read", "<dir>/<file>"), in call order."""
+    from a4l_analytics import orchestrator
+
+    seen = []
+    sha256_file, read_bytes = orchestrator.sha256_file, Path.read_bytes
+
+    def hashing(path):
+        path = Path(path)
+        seen.append(("hash", f"{path.parent.name}/{path.name}"))
+        return sha256_file(path)
+
+    def reading(self):
+        if self.parent.name in ("store", "payloads"):
+            seen.append(("read", f"{self.parent.name}/{self.name}"))
+        return read_bytes(self)
+
+    monkeypatch.setattr(orchestrator, "sha256_file", hashing)
+    monkeypatch.setattr(Path, "read_bytes", reading)
+    return seen
+
+
+@pytest.fixture
 def derived(monkeypatch):
     """Every group split, group summary and kernel call the runner makes.
 
@@ -433,3 +458,15 @@ def synced_root(domain_root):
 
     run_cycle(domain_root)
     return domain_root
+
+
+@pytest.fixture
+def settled_root(synced_root):
+    """A synced root after one more cycle, so that the registry record
+    holds a stat witness for every input file: the first cycle may hash
+    files written within its own lock stamp's clock tick, whose witnesses
+    it does not keep, and the second finds them older than its stamp."""
+    from a4l_analytics.orchestrator import run_cycle
+
+    run_cycle(synced_root)
+    return synced_root

@@ -476,6 +476,51 @@ class TestList:
         assert out.startswith("error: ")
         assert "manifest.json" in out and "'sami_fall24_usage'" in out
 
+    UNDECODABLE_MANIFESTS = {
+        "invalid_utf8": b'{"a\xff": 1}',
+        "too_deep": b"[" * 100_000,
+    }
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["list", "sync", "run"])
+    @pytest.mark.parametrize("manifest", sorted(UNDECODABLE_MANIFESTS))
+    def test_undecodable_manifest_exits_1(self, synced_root, capsys, manifest, command, as_json):
+        path = synced_root / "warehouse" / "manifest.json"
+        path.write_bytes(self.UNDECODABLE_MANIFESTS[manifest])
+        args = ["--json"] if as_json else []
+        args.append(command)
+        if command == "run":
+            args.append(str(synced_root / "payloads" / "sami_fall24.json"))
+        code = run_cli("--root", str(synced_root), *args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        if as_json:
+            error = json.loads(captured.out)["error"]
+        else:
+            assert captured.out.startswith("error: ") and captured.out.count("\n") == 1
+            error = captured.out[len("error: ") :]
+        assert error.startswith(f"{path}: ")
+
+    def test_list_never_writes_the_record_and_reads_it_only_to_skip_reads(
+        self, settled_root, capsys, input_reads
+    ):
+        record = settled_root / "warehouse" / "reconcile.json"
+        before = record.stat()
+        outputs = []
+        for as_json in (False, True):
+            input_reads.clear()
+            assert run_cli("--root", str(settled_root), *(["--json"] if as_json else []), "list") == 0
+            outputs.append(capsys.readouterr().out)
+            assert input_reads == []  # every witness matched
+        after = record.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        record.unlink()
+        for as_json, expected in zip((False, True), outputs):
+            assert run_cli("--root", str(settled_root), *(["--json"] if as_json else []), "list") == 0
+            assert capsys.readouterr().out == expected
+        assert not record.exists()
+
     def test_json_output_does_not_depend_on_the_record(self, synced_root, capsys):
         (synced_root / "payloads" / "broken.json").write_text("{nope", encoding="utf-8")
         run_cycle(synced_root)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from a4l_analytics import orchestrator
 from a4l_analytics.dataset import Warehouse, sha256_file
-from a4l_analytics.errors import LockHeldError
+from a4l_analytics.errors import A4LError, LockHeldError
 from a4l_analytics.orchestrator import (
     CycleLock,
     run_cycle,
@@ -52,6 +53,40 @@ class TestScanStore:
         first = scan_store(store)
         os.utime(path, (1, 1))
         assert scan_store(store) == first
+
+    # names Path.glob("*.csv") and Path.glob("*.json") tell apart: case,
+    # hidden files, a bare suffix, near misses
+    NAMES = [
+        "a.csv", "B.csv", "c.CSV", "d.Csv", ".hidden.csv", ".csv", "..csv",
+        "e.csv.bak", "f.csvx", "g csv", "h.json", "I.JSON", ".j.json", "k.json~",
+    ]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_listing_selects_what_glob_selects(self, tmp_path, suffix):
+        for name in self.NAMES:
+            (tmp_path / name).write_bytes(b"a\n1\n")
+        (tmp_path / f"dir{suffix}").mkdir()
+        (tmp_path / "sub").mkdir()
+        listed = [e.name for e in orchestrator._listing(tmp_path, suffix)]
+        assert listed == sorted(p.name for p in tmp_path.glob(f"*{suffix}"))
+        assert f"dir{suffix}" in listed
+
+    def test_dataset_names_are_path_stems(self, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        for name in self.NAMES:
+            (store / name).write_bytes(b"a\n1\n")
+        assert list(scan_store(store)) == sorted(p.stem for p in store.glob("*.csv"))
+
+    def test_directory_named_csv_is_an_unreadable_store_file(self, tmp_path):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "d.csv").write_bytes(b"a\n1\n")
+        (store / "x.csv").mkdir()
+        record = orchestrator.RegistryRecord(tmp_path / "reconcile.json")
+        for args in ((), (record, time.time_ns())):
+            with pytest.raises(A4LError, match="unreadable store file .*x.csv"):
+                scan_store(store, *args)
 
 
 class TestSyncWarehouse:
@@ -373,16 +408,30 @@ class TestRegistryRecord:
     """warehouse/reconcile.json: payload files are parsed once per hash."""
 
     PAYLOADS = ["jw_fall23.json", "sami_fall24.json", "vera_summer23.json"]
+    DATASETS = ["jw_fall23_usage", "sami_fall24_usage", "vera_summer23_usage"]
 
     def test_first_cycle_records_every_payload_file(self, domain_root):
         run_cycle(domain_root)
         record = _read_record(domain_root)
-        assert record["tag"] == ["a4l-reconcile", 1]
+        assert record["tag"] == ["a4l-reconcile", 2]
         assert sorted(record["payloads"]) == self.PAYLOADS
         for name, entry in record["payloads"].items():
             data = (domain_root / "payloads" / name).read_bytes()
             assert entry["sha256"] == hashlib.sha256(data).hexdigest()
         assert record["payloads"]["sami_fall24.json"]["datasets"] == ["sami_fall24_usage"]
+        assert sorted(record["store"]) == sorted(self.DATASETS)
+        for name, entry in record["store"].items():
+            assert entry["sha256"] == sha256_file(domain_root / "store" / f"{name}.csv")
+
+    def test_settled_record_holds_every_witness(self, settled_root):
+        record = _read_record(settled_root)
+        for section, directory in (("payloads", "payloads"), ("store", "store")):
+            for name, entry in record[section].items():
+                path = settled_root / directory / (name if section == "payloads" else f"{name}.csv")
+                st = path.stat()
+                assert entry["stat"] == [
+                    st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+                ]
 
     def test_idle_cycle_parses_nothing(self, synced_root, payload_parses):
         report = run_cycle(synced_root)
@@ -438,39 +487,87 @@ class TestRegistryRecord:
         ]
         assert payload_parses == []
 
-    # whole-file replacements, or changes to the tag or to one entry
+    # whole-file replacements, or changes to the tag, to a whole section
+    # (a list value) or to one entry of a section (a dict value)
     UNUSABLE = {
         "corrupt": "{broken",
         "too_deep": "[" * 100_000,
         "not_an_object": "[]",
-        "foreign_tag": {"tag": ["other-record", 1]},
-        "other_format": {"tag": ["a4l-reconcile", 2]},
-        "no_datasets": {"sami_fall24.json": {"sha256": "0" * 64}},
-        "bad_dataset_name": {"sami_fall24.json": {"sha256": "0" * 64, "datasets": [7]}},
+        "foreign_tag": {"tag": ["other-record", 2]},
+        "other_format": {"tag": ["a4l-reconcile", 1]},
+        "no_datasets": {"payloads": {"sami_fall24.json": {"sha256": "0" * 64, "stat": None}}},
+        "bad_dataset_name": {
+            "payloads": {"sami_fall24.json": {"sha256": "0" * 64, "stat": None, "datasets": [7]}}
+        },
+        "payload_without_stat": {
+            "payloads": {"sami_fall24.json": {"sha256": "0" * 64, "datasets": []}}
+        },
+        "no_store": {"store": None},
+        "store_not_an_object": {"store": []},
+        "store_entry_not_an_object": {"store": {"jw_fall23_usage": "0" * 64}},
+        "store_without_sha256": {"store": {"jw_fall23_usage": {"stat": None}}},
+        "store_without_stat": {"store": {"jw_fall23_usage": {"sha256": "0" * 64}}},
+        "store_short_stat": {"store": {"jw_fall23_usage": {"sha256": "0" * 64, "stat": [1, 2, 3, 4]}}},
+        "store_float_stat": {
+            "store": {"jw_fall23_usage": {"sha256": "0" * 64, "stat": [1, 2, 3, 4, 5.0]}}
+        },
+        "store_bool_stat": {
+            "store": {"jw_fall23_usage": {"sha256": "0" * 64, "stat": [1, 2, 3, 4, True]}}
+        },
     }
 
     @pytest.mark.parametrize("unusable", sorted(UNUSABLE))
     def test_unusable_record_is_ignored_and_rewritten(
-        self, synced_root, payload_parses, unusable
+        self, settled_root, payload_parses, input_reads, unusable
     ):
-        expected = _read_record(synced_root)
+        expected = _read_record(settled_root)
         edit = self.UNUSABLE[unusable]
         if isinstance(edit, str):
             text = edit
         else:
-            # the other entries keep their hashes, so only ignoring the
-            # whole record makes the cycle parse them
-            record = _read_record(synced_root)
+            # the other entries keep their hashes and witnesses, so only
+            # ignoring the whole record makes the cycle read them again
+            record = _read_record(settled_root)
             for key, value in edit.items():
-                (record if key == "tag" else record["payloads"])[key] = value
+                if key == "tag" or not isinstance(value, dict):
+                    record[key] = value
+                else:
+                    record[key].update(value)
             text = json.dumps(record)
-        (synced_root / "warehouse" / "reconcile.json").write_text(text, encoding="utf-8")
-        report = run_cycle(synced_root)
+        (settled_root / "warehouse" / "reconcile.json").write_text(text, encoding="utf-8")
+        input_reads.clear()
+        report = run_cycle(settled_root)
+        assert report.updated == []
         assert report.selected_payloads == [] and report.run_outcomes == []
         assert len(payload_parses) == len(self.PAYLOADS)
-        assert _read_record(synced_root) == expected
-        run_cycle(synced_root)
+        assert sorted(input_reads) == sorted(
+            [("hash", f"store/{name}.csv") for name in self.DATASETS]
+            + [("read", f"payloads/{name}") for name in self.PAYLOADS]
+        )
+        assert _read_record(settled_root) == expected
+        input_reads.clear()
+        run_cycle(settled_root)
         assert len(payload_parses) == len(self.PAYLOADS)
+        assert input_reads == []
+
+    def test_format_1_record_is_ignored(self, settled_root, payload_parses, input_reads):
+        # the record as the format before stat witnesses wrote it
+        expected = _read_record(settled_root)
+        old = {
+            "tag": ["a4l-reconcile", 1],
+            "payloads": {
+                name: {"sha256": entry["sha256"], "datasets": entry["datasets"]}
+                for name, entry in expected["payloads"].items()
+            },
+        }
+        path = settled_root / "warehouse" / "reconcile.json"
+        path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        input_reads.clear()
+        assert run_cycle(settled_root).updated == []
+        hashed = [name for kind, name in input_reads if kind == "hash"]
+        assert sorted(hashed) == [f"store/{name}.csv" for name in self.DATASETS]
+        assert len(payload_parses) == len(self.PAYLOADS)
+        assert _read_record(settled_root) == expected
 
     def test_unwritable_record_leaves_the_cycle_working(
         self, domain_root, monkeypatch, payload_parses
@@ -508,8 +605,11 @@ class TestRegistryRecord:
         assert payload_parses == [bad]
         assert _read_record(synced_root)["payloads"]["sami_fall24.json"]["datasets"] is None
 
-    def test_idle_cycle_writes_only_its_report(self, synced_root, monkeypatch):
-        record = synced_root / "warehouse" / "reconcile.json"
+    def test_idle_cycle_writes_only_its_report(self, settled_root, monkeypatch):
+        # settled: the synced root's first cycle may hash files written in
+        # its own stamp's clock tick, and the next cycle then keeps their
+        # witnesses, writing the record once
+        record = settled_root / "warehouse" / "reconcile.json"
         before = record.stat()
         written = []
         write = orchestrator.atomic_write
@@ -519,10 +619,205 @@ class TestRegistryRecord:
             write(path, data)
 
         monkeypatch.setattr(orchestrator, "atomic_write", recording)
-        run_cycle(synced_root)
+        run_cycle(settled_root)
         assert written == ["runs"]
         after = record.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def _witness(path):
+    st = path.stat()
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _wait_past(path):
+    """Return once the filesystem clock reads later than ``path``'s mtime
+    and ctime, so that any later lock stamp does too."""
+    probe = path.parent.parent.parent / "clock.probe"
+    st = path.stat()
+    while True:
+        probe.write_bytes(b"")
+        if probe.stat().st_mtime_ns > max(st.st_mtime_ns, st.st_ctime_ns):
+            return
+        time.sleep(0.001)
+
+
+def _same_size_edit(data):
+    """``data`` with its first digit after the header changed."""
+    start = data.index(b"\n")
+    i = next(i for i in range(start, len(data)) if data[i : i + 1].isdigit())
+    digit = b"1" if data[i : i + 1] != b"1" else b"2"
+    return data[:i] + digit + data[i + 1 :]
+
+
+class TestStatWitness:
+    """A file is read and hashed again only when its stat changed."""
+
+    SAMI = "sami_fall24_usage"
+
+    def test_idle_cycle_reads_no_input(self, settled_root, input_reads, payload_parses):
+        report = run_cycle(settled_root)
+        assert report.updated == [] and report.run_outcomes == []
+        assert input_reads == [] and payload_parses == []
+
+    def test_same_size_rewrite_with_restored_mtime_is_seen(self, settled_root, input_reads):
+        path = settled_root / "store" / f"{self.SAMI}.csv"
+        before = path.stat()
+        data = path.read_bytes()
+        edited = _same_size_edit(data)
+        with open(path, "r+b") as fh:  # in place: same inode
+            fh.write(edited)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino,
+            before.st_size,
+            before.st_mtime_ns,
+        )
+        assert after.st_ctime_ns != before.st_ctime_ns
+        input_reads.clear()
+        report = run_cycle(settled_root)
+        assert [u.dataset for u in report.updated] == [self.SAMI]
+        assert report.updated[0].new_sha256 == hashlib.sha256(edited).hexdigest()
+        assert [r for r in input_reads if r[0] == "hash"] == [("hash", f"store/{self.SAMI}.csv")]
+
+    def test_replaced_file_is_seen(self, settled_root, input_reads):
+        path = settled_root / "store" / f"{self.SAMI}.csv"
+        before = path.stat()
+        edited = _same_size_edit(path.read_bytes())
+        tmp = path.with_name("replacement.tmp")
+        tmp.write_bytes(edited)
+        os.utime(tmp, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(tmp, path)
+        assert path.stat().st_ino != before.st_ino
+        input_reads.clear()
+        report = run_cycle(settled_root)
+        assert [u.dataset for u in report.updated] == [self.SAMI]
+        assert [r for r in input_reads if r[0] == "hash"] == [("hash", f"store/{self.SAMI}.csv")]
+
+    def test_file_changed_just_after_its_read_is_seen_next_cycle(
+        self, settled_root, monkeypatch
+    ):
+        # the record keeps the stat taken before the read, so a change
+        # right after the read leaves a witness that no longer matches
+        path = settled_root / "store" / f"{self.SAMI}.csv"
+        path.write_bytes(path.read_bytes() + b"\n")
+        _wait_past(path)
+        witness = _witness(path)
+        first = hashlib.sha256(path.read_bytes()).hexdigest()
+        edited = _same_size_edit(path.read_bytes())
+        sha256_file = orchestrator.sha256_file
+
+        def hash_then_change(p):
+            digest = sha256_file(p)
+            if Path(p) == path:
+                path.write_bytes(edited)
+            return digest
+
+        monkeypatch.setattr(orchestrator, "sha256_file", hash_then_change)
+        assert [u.dataset for u in run_cycle(settled_root).updated] == [self.SAMI]
+        monkeypatch.undo()
+        assert _read_record(settled_root)["store"][self.SAMI] == {"sha256": first, "stat": witness}
+        assert _witness(path) != witness
+        # the copy read the edited bytes already, so the next cycle hashes
+        # the file again and finds the manifest up to date
+        assert run_cycle(settled_root).updated == []
+        record = _read_record(settled_root)
+        assert record["store"][self.SAMI]["sha256"] == hashlib.sha256(edited).hexdigest()
+
+    def test_file_at_or_after_the_stamp_is_hashed_until_older(self, settled_root, input_reads):
+        path = settled_root / "store" / f"{self.SAMI}.csv"
+        before = path.stat()
+        future = time.time_ns() + 3600 * 10**9
+        os.utime(path, ns=(future, future))
+        input_reads.clear()
+        for _ in range(3):
+            assert run_cycle(settled_root).updated == []
+            assert _read_record(settled_root)["store"][self.SAMI]["stat"] is None
+        assert input_reads == [("hash", f"store/{self.SAMI}.csv")] * 3
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        _wait_past(path)
+        input_reads.clear()
+        for _ in range(2):
+            assert run_cycle(settled_root).updated == []
+        assert input_reads == [("hash", f"store/{self.SAMI}.csv")]
+        assert _read_record(settled_root)["store"][self.SAMI]["stat"] == _witness(path)
+
+    def test_payload_at_or_after_the_stamp_is_read_until_older(
+        self, settled_root, input_reads, payload_parses
+    ):
+        path = settled_root / "payloads" / "sami_fall24.json"
+        future = time.time_ns() + 3600 * 10**9
+        os.utime(path, ns=(future, future))
+        input_reads.clear()
+        for _ in range(2):
+            assert run_cycle(settled_root).run_outcomes == []
+        assert input_reads == [("read", "payloads/sami_fall24.json")] * 2
+        assert payload_parses == []
+
+    def test_touched_file_is_hashed_once_then_trusted(self, settled_root, input_reads):
+        path = settled_root / "store" / f"{self.SAMI}.csv"
+        os.utime(path)
+        _wait_past(path)
+        input_reads.clear()
+        for _ in range(2):
+            assert run_cycle(settled_root).updated == []
+        assert input_reads == [("hash", f"store/{self.SAMI}.csv")]
+
+    def test_store_file_vanished_before_its_stat_is_unreadable(self, settled_root, monkeypatch):
+        listing = orchestrator._listing
+
+        def listing_then_remove(directory, suffix):
+            found = listing(directory, suffix)
+            if suffix == ".csv":
+                (settled_root / "store" / f"{self.SAMI}.csv").unlink()
+            return found
+
+        monkeypatch.setattr(orchestrator, "_listing", listing_then_remove)
+        with pytest.raises(A4LError, match=f"unreadable store file .*{self.SAMI}.csv"):
+            run_cycle(settled_root)
+
+    def test_payload_vanished_before_its_stat_is_reported(self, settled_root, monkeypatch):
+        listing = orchestrator._listing
+
+        def listing_then_remove(directory, suffix):
+            found = listing(directory, suffix)
+            if suffix == ".json":
+                (settled_root / "payloads" / "sami_fall24.json").unlink()
+            return found
+
+        monkeypatch.setattr(orchestrator, "_listing", listing_then_remove)
+        report = run_cycle(settled_root)
+        assert [(o.payload_file, o.status) for o in report.run_outcomes] == [
+            ("sami_fall24.json", "parse_failed")
+        ]
+        assert "sami_fall24.json" not in _read_record(settled_root)["payloads"]
+
+    @pytest.mark.parametrize(
+        "mtime, ctime, stamp, trusted",
+        [
+            (99, 99, 100, True),
+            (99, 100, 100, False),  # ctime at the stamp
+            (100, 99, 100, False),  # mtime at the stamp
+            (99, 101, 100, False),
+            (101, 99, 100, False),
+            (99, 99, None, False),  # no lock stamp
+        ],
+    )
+    def test_trust_rule(self, mtime, ctime, stamp, trusted):
+        assert orchestrator._trusted([1, 2, 3, mtime, ctime], stamp) is trusted
+
+    def test_lock_stamp_reads_the_filesystem_clock(self, tmp_path):
+        lock = CycleLock(tmp_path / ".a4l.lock")
+        assert lock.acquire()
+        try:
+            assert lock.stamp == (tmp_path / ".a4l.lock").stat().st_mtime_ns
+            probe = tmp_path / "later"
+            probe.write_bytes(b"")
+            assert probe.stat().st_mtime_ns >= lock.stamp
+        finally:
+            lock.release()
+        assert lock.stamp is None
 
 
 class TestCycleLock:
@@ -719,8 +1014,8 @@ class TestRunCycle:
         manifest = Warehouse(synced_root).manifest()
         scan = orchestrator.scan_store
 
-        def scan_then_remove(store_dir):
-            result = scan(store_dir)
+        def scan_then_remove(store_dir, record=None, stamp=None):
+            result = scan(store_dir, record, stamp)
             (store / "sami_fall24_usage.csv").unlink()
             return result
 

@@ -74,10 +74,15 @@ def cmd_validate(args) -> int:
     if payload is None:
         return code
     # The catalog parses a dataset only when the payload references it,
-    # so a broken file surfaces here as DatasetError or OSError.
+    # so a broken file surfaces here as DatasetError or OSError. Validation
+    # computes no result entry. It holds no lock, so a column file it
+    # writes after a parse may replace one that a concurrent cycle or run
+    # wrote with entries: those entries are computed again later, and no
+    # value served is ever wrong.
     try:
-        catalog = Warehouse(args.root).column_catalog(DatasetCache())
-        report = validate_payload(payload, catalog=catalog)
+        with DatasetCache() as cache:
+            catalog = Warehouse(args.root).column_catalog(cache)
+            report = validate_payload(payload, catalog=catalog)
     except (A4LError, OSError) as exc:
         _emit(args, f"error: {exc}", {"error": str(exc)})
         return EXIT_IO
@@ -94,12 +99,13 @@ def cmd_run(args) -> int:
     if payload is None:
         return code
     # under the cycle lock, so no sync replaces a version this run read
-    # before its documents are written; a root where the lock file cannot
+    # before its documents are written, and the cache writes its column
+    # files before the lock is released; a root where the lock file cannot
     # be opened is an I/O error
     try:
-        with CycleLock(Path(args.root) / ".a4l.lock"):
+        with CycleLock(Path(args.root) / ".a4l.lock"), DatasetCache() as cache:
             outcome = run_payload_file(
-                Path(args.payload).name, payload, Warehouse(args.root), DatasetCache()
+                Path(args.payload).name, payload, Warehouse(args.root), cache
             )
     except LockHeldError as exc:
         _emit(args, f"locked: {exc}", {"error": str(exc)})

@@ -9,11 +9,14 @@ decides only whether its bytes must be read and hashed again (see
 
 Each version is parsed once per warehouse: its typed columns are kept in
 ``columns/<sha256>.marshal`` beside the CSV and loaded from there after.
+The same file keeps the version's result entries (see ``DatasetCache``),
+so each is computed once per version and package source.
 ``marshal`` is no safer than ``pickle`` on hostile bytes; the warehouse
 is written only by the pipeline and trusted as its manifest is.
 """
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -76,8 +79,9 @@ class TabularDataset:
 
     ``views`` holds what statistics derive from the columns (the runner
     keeps its group indexes, splits and result entries there), so each
-    is built once while the dataset is cached and freed with it. It
-    takes no part in equality.
+    is built once while the dataset is cached. The result entries come
+    from the column file and go back to it; the cache clears ``views``
+    when the dataset leaves it. It takes no part in equality.
     """
 
     name: str
@@ -227,11 +231,42 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
 # the tag that makes a column file readable only by the same typing rules
 # and interpreter version that wrote it. Bump _COLUMNS_FORMAT whenever
 # load_csv's output for the same bytes changes (a kind rule, a cell
-# conversion, the column layout): the files are keyed by the bytes'
-# hash alone, so an old file would otherwise keep serving the old typing.
+# conversion, the column layout) or the file's layout changes: the files
+# are keyed by the bytes' hash alone, so an old file would otherwise keep
+# serving the old typing. Result entries need no bump: they carry the
+# source fingerprint of the code that computed them.
 COLUMNS_DIR = "columns"
-_COLUMNS_FORMAT = 1
+_COLUMNS_FORMAT = 2
 _COLUMNS_TAG = ("a4l-columns", _COLUMNS_FORMAT, marshal.version, sys.version_info[:2])
+
+# The key of ``TabularDataset.views`` that holds the dataset's result
+# entries (see ``runner._execute_request``); no column name or
+# (independent, dependent) pair equals it.
+ENTRIES = object()
+
+_PACKAGE_DIR = Path(__file__).parent
+
+
+@functools.cache
+def source_fingerprint() -> Optional[str]:
+    """The sha256 of the package's own source: every ``.py`` file below
+    the package directory, by relative path and bytes, in path order.
+
+    Computed once per process, on first use. None when the source cannot
+    be read (or holds no ``.py`` file), in which case no result entry is
+    ever loaded or stored.
+    """
+    h = hashlib.sha256()
+    try:
+        sources = sorted(
+            (path.relative_to(_PACKAGE_DIR).as_posix(), path) for path in _PACKAGE_DIR.rglob("*.py")
+        )
+        for rel, path in sources:
+            name, data = rel.encode("utf-8", "surrogateescape"), path.read_bytes()
+            h.update(b"%d %d " % (len(name), len(data)) + name + data)
+    except OSError:
+        return None
+    return h.hexdigest() if sources else None
 
 
 def columns_path(path: Union[str, Path], sha256: str) -> Path:
@@ -239,11 +274,27 @@ def columns_path(path: Union[str, Path], sha256: str) -> Path:
     return Path(path).with_name(COLUMNS_DIR) / f"{sha256}.marshal"
 
 
+def _entry_key(key) -> bool:
+    """Whether ``key`` has the types of a result entry's memo key,
+    (statistic, independent, dependent, alternative, alpha)."""
+    return (
+        type(key) is tuple
+        and len(key) == 5
+        and all(type(part) is str for part in key[:4])
+        and type(key[4]) is float
+    )
+
+
 def _load_columns(target: Path, name: str, sha256: str) -> Optional[TabularDataset]:
     """The dataset kept in the column file ``target``, or None when the
-    file is missing, unreadable or not one this interpreter wrote."""
+    file is missing, unreadable or not one this interpreter wrote.
+
+    Its result entries go into ``views`` only when the package source
+    that computed them is this one's and they are well formed; otherwise
+    the columns are kept and the entries dropped.
+    """
     try:
-        tag, row_count, columns = marshal.loads(target.read_bytes())
+        tag, row_count, columns, entries_tag, entries = marshal.loads(target.read_bytes())
         if tag != _COLUMNS_TAG or type(row_count) is not int:
             return None
         columns = tuple(Column(*col) for col in columns)
@@ -252,14 +303,26 @@ def _load_columns(target: Path, name: str, sha256: str) -> Optional[TabularDatas
     for col in columns:
         if col.kind not in _KINDS or type(col.cells) is not tuple or len(col.cells) != row_count:
             return None
-    return TabularDataset(name=name, version=sha256, columns=columns, row_count=row_count)
+    ds = TabularDataset(name=name, version=sha256, columns=columns, row_count=row_count)
+    if (
+        type(entries) is dict
+        and entries
+        and entries_tag is not None
+        and entries_tag == source_fingerprint()
+        and all(_entry_key(k) and type(v) is dict for k, v in entries.items())
+    ):
+        ds.views[ENTRIES] = entries
+    return ds
 
 
-def _store_columns(target: Path, ds: TabularDataset) -> None:
-    """Write ``ds``'s columns to ``target``; a warehouse that cannot be
-    written still runs, without the file."""
+def _store_columns(target: Path, ds: TabularDataset, entries: dict) -> None:
+    """Write ``ds``'s columns and the result ``entries`` to ``target``; a
+    warehouse that cannot be written still runs, without the file."""
     columns = tuple((c.name, c.kind, c.cells) for c in ds.columns)
-    data = marshal.dumps((_COLUMNS_TAG, ds.row_count, columns))
+    entries_tag = source_fingerprint() if entries else None
+    if entries_tag is None:
+        entries = {}
+    data = marshal.dumps((_COLUMNS_TAG, ds.row_count, columns, entries_tag, entries))
     try:
         target.parent.mkdir(exist_ok=True)
         atomic_write(target, data)
@@ -273,14 +336,29 @@ class DatasetCache:
     One cache serves one cycle or one command, so validation and
     execution share a load; it is never shared between invocations.
     The key's sha256 is the manifest's. A dataset is loaded from its
-    column file when there is one, and is otherwise parsed; the columns
-    are then kept in the file only when the bytes parsed hash to the key,
-    so a dataset's version is always the hash of the bytes its columns
-    came from.
+    column file when there is one, with the result entries that file
+    holds, and is otherwise parsed.
+
+    A version's file is written at most once per cache, when the version
+    leaves it (``retain``) or the cache is closed (``close``, or the end
+    of a ``with`` block), and only when the version was parsed or its
+    result entries grew. A parsed version is written only when the bytes
+    parsed hash to the key, so a dataset's version is always the hash of
+    the bytes its columns came from. A cache that is never closed writes
+    nothing.
     """
 
     def __init__(self) -> None:
         self._datasets: Dict[Tuple[str, str], TabularDataset] = {}
+        # the column file of each version this cache may write, and the
+        # number of entries it was loaded with (None after a parse)
+        self._files: Dict[Tuple[str, str], Tuple[Path, Optional[int]]] = {}
+
+    def __enter__(self) -> "DatasetCache":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def get(self, name: str, sha256: str, path: Union[str, Path]) -> TabularDataset:
         key = (name, sha256)
@@ -288,18 +366,37 @@ class DatasetCache:
         if ds is None:
             target = columns_path(path, sha256)
             ds = _load_columns(target, name, sha256)
-            if ds is None:
+            if ds is not None:
+                self._files[key] = (target, len(ds.views.get(ENTRIES, ())))
+            else:
                 ds = load_csv(path, name=name)
                 if ds.version == sha256:
-                    _store_columns(target, ds)
+                    self._files[key] = (target, None)
             self._datasets[key] = ds
         return ds
 
+    def _release(self, key: Tuple[str, str]) -> None:
+        ds = self._datasets.pop(key)
+        target, loaded = self._files.pop(key, (None, 0))
+        entries = ds.views.get(ENTRIES, {})
+        # The views leave with the dataset, before the write: the splits
+        # hold every numeric cell a second time, and marshal keeps a
+        # table of each object it meets that is held more than once.
+        ds.views.clear()
+        if target is not None and len(entries) != loaded:
+            _store_columns(target, ds, entries)
+
     def retain(self, names: Iterable[str]) -> None:
-        """Drop every cached dataset whose name is not in ``names``."""
+        """Drop every cached dataset whose name is not in ``names``,
+        writing its column file first when it is due."""
         keep = set(names)
         for key in [k for k in self._datasets if k[0] not in keep]:
-            del self._datasets[key]
+            self._release(key)
+
+    def close(self) -> None:
+        """Drop every cached dataset, writing each column file that is due."""
+        for key in list(self._datasets):
+            self._release(key)
 
 
 class _ColumnCatalog(Mapping):
@@ -332,7 +429,8 @@ class Warehouse:
         warehouse/<name>.csv          current version of each dataset
         warehouse/manifest.json       {"<name>": {"sha256", "bytes", "updated"}}
         warehouse/columns/<sha256>.marshal
-                                      typed columns of each version parsed
+                                      typed columns and result entries of
+                                      each version parsed
         warehouse/reconcile.json      the sha256 and stat witness of each
                                       payload and store file, and what each
                                       payload references

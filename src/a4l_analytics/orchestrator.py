@@ -162,7 +162,8 @@ def scan_store(
     stamp: Optional[int] = None,
 ) -> Dict[str, str]:
     """The sha256 of every CSV in the published data store, by dataset
-    name.
+    name: the file name without its ``.csv`` suffix. A file named just
+    ``.csv`` names no dataset and is skipped.
 
     Each file is stat'ed before it is read. With ``record``, a file whose
     stat equals the witness of its entry in ``record.store`` is not read
@@ -177,7 +178,9 @@ def scan_store(
     found: Dict[str, dict] = {}
     result = {}
     for item in _listing(store, ".csv"):
-        name = Path(item.name).stem
+        name = item.name[: -len(".csv")]
+        if not name:
+            continue
         try:
             witness = _witness(item.stat())
             entry = known.get(name)
@@ -531,18 +534,21 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
                 RunOutcome(payload_file=name, status="parse_failed", detail="unparseable payload")
             )
 
-        # Each dataset is parsed once per cycle and dropped as soon as no
-        # remaining selected payload references it.
-        cache = DatasetCache()
+        # Each dataset is loaded once per cycle and dropped, its column
+        # file written when due, as soon as no remaining selected payload
+        # references it.
         pending = Counter(d for payload in selected.values() for d in payload.datasets())
-        for name, payload in selected.items():
-            try:
-                outcome = run_payload_file(name, payload, warehouse, cache, manifest)
-            except Exception as exc:  # a defect fails its own payload only
-                outcome = RunOutcome(payload_file=name, status="error", detail=internal_error(exc))
-            report.run_outcomes.append(outcome)
-            pending.subtract(payload.datasets())
-            cache.retain(d for d, count in pending.items() if count > 0)
+        with DatasetCache() as cache:
+            for name, payload in selected.items():
+                try:
+                    outcome = run_payload_file(name, payload, warehouse, cache, manifest)
+                except Exception as exc:  # a defect fails its own payload only
+                    outcome = RunOutcome(
+                        payload_file=name, status="error", detail=internal_error(exc)
+                    )
+                report.run_outcomes.append(outcome)
+                pending.subtract(payload.datasets())
+                cache.retain(d for d, count in pending.items() if count > 0)
 
         runs_dir = root / "runs"
         runs_dir.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from .dataset import (  # noqa: F401  load_csv: looked up here by callers
+    ENTRIES,
     KIND_BOOLEAN,
     KIND_CATEGORICAL,
     KIND_NUMERIC,
@@ -219,10 +220,11 @@ class Statistic:
     have. ``compute(split, dep, alternative, alpha)`` returns the result
     object for one dependent from its two-group split, which every
     statistic over the same columns shares. It must be a pure function
-    of its arguments: its entry is reused for every request of the
-    invocation with the same key (see ``_execute_request``). It is None
-    for the contingency table, which cross-tabulates the two columns
-    instead of splitting into groups.
+    of its arguments: its entry is kept in the dataset version's column
+    file and reused for every later request with the same key, in this
+    invocation or a later one run by the same package source (see
+    ``_execute_request``). It is None for the contingency table, which
+    cross-tabulates the two columns instead of splitting into groups.
     """
 
     dependent_kinds: Tuple[str, ...]
@@ -239,11 +241,6 @@ STATISTICS: Dict[str, Statistic] = {
     "get_contingency_table": Statistic(GROUPING_KINDS, None),
     "get_descriptives": Statistic((KIND_NUMERIC,), _descriptives),
 }
-
-
-# The key of ``TabularDataset.views`` that holds the dataset's result
-# entries; no column name or (independent, dependent) pair equals it.
-_ENTRIES = object()
 
 
 def _group_index(ds: TabularDataset, independent: str) -> Optional[GroupIndex]:
@@ -298,10 +295,11 @@ def _execute_request(
     generated_at: str,
 ) -> ResultDocument:
     # Each entry is computed once per (dataset version, statistic,
-    # independent, dependent, alternative, alpha) while the dataset is
-    # cached; every later request for that key, in this payload or
-    # another, gets the same entry, error entries included.
-    memo = ds.views.setdefault(_ENTRIES, {})
+    # independent, dependent, alternative, alpha) and package source;
+    # every later request for that key gets the same entry, error entries
+    # included. The memo is loaded with the version's column file, and
+    # the cache writes it back when the version leaves it.
+    memo = ds.views.setdefault(ENTRIES, {})
     alternative = req.alternative.value
     entries: List[dict] = []
     for dep in req.dependent:
@@ -338,7 +336,9 @@ def execute_payload(
     """Run every request of a validated payload, in payload order.
 
     Datasets come from ``cache`` when it already holds the manifest
-    version; otherwise it loads them from the warehouse.
+    version; otherwise it loads them from the warehouse. Without
+    ``cache``, a cache of this call's own is used and never closed, so
+    nothing it computes is written back.
     """
     run_id = staged.run_id or uuid.uuid4().hex
     generated_at = utc_now_rfc3339()

@@ -428,6 +428,25 @@ class TestSync:
         assert len(report["updated"]) == 3
         assert len(report["run_outcomes"]) == 3
 
+    def test_file_named_just_csv_is_skipped(self, tmp_path, capsys):
+        root = tmp_path / "root"
+        (root / "store").mkdir(parents=True)
+        for name in (".csv", "ok.csv"):
+            (root / "store" / name).write_bytes(b"a,b\n1,2\n")
+        # the first cycle syncs ok only, and no cycle keeps ".csv" pending
+        for updated in (["ok"], []):
+            assert run_cli("--root", str(root), "--json", "sync") == 0
+            report = strict_loads(capsys.readouterr().out)
+            assert [u["dataset"] for u in report["updated"]] == updated
+            record = json.loads((root / "warehouse" / "reconcile.json").read_bytes())
+            assert list(record["store"]) == ["ok"]
+        assert list(Warehouse(root).manifest()) == ["ok"]
+        assert run_cli("--root", str(root), "--json", "list") == 0
+        assert list(strict_loads(capsys.readouterr().out)["datasets"]) == ["ok"]
+        assert run_cli("--root", str(root), "list") == 0
+        assert capsys.readouterr().out.startswith("ok sha256=")
+        assert ".csv" not in [p.name for p in (root / "warehouse").iterdir()]
+
 
 class TestWatchCommand:
     def test_lock_held_exits_5(self, synced_root, capsys):

@@ -195,10 +195,37 @@ class TestDatasetCache:
         cache.get("d", "v1", tmp_path / "d.csv")
         assert parses == ["d", "e", "d"]
 
+    def test_retain_writes_a_dropped_version_before_it_is_freed(self, tmp_path, parses):
+        d, e = write(tmp_path, "d.csv", "a\n1\n"), write(tmp_path, "e.csv", "b\n1\n")
+        sha_d, sha_e = sha256_file(d), sha256_file(e)
+        entries = {("get_descriptives", "g", "a", "two_sided", 0.05): {"dependent": "a"}}
+        cache = DatasetCache()
+        cache.get("d", sha_d, d).views[dataset.ENTRIES] = dict(entries)
+        cache.get("e", sha_e, e)
+        assert not columns_path(d, sha_d).exists()
+        cache.retain(["e"])
+        assert columns_path(d, sha_d).exists() and not columns_path(e, sha_e).exists()
+        with DatasetCache() as other:
+            assert other.get("d", sha_d, d).views[dataset.ENTRIES] == entries
+        cache.close()
+        assert columns_path(e, sha_e).exists()
+        assert parses == ["d", "e"]
+        # closing again is harmless, and the closed cache loads from the file
+        cache.close()
+        cache.get("e", sha_e, e)
+        assert parses == ["d", "e"]
+
 
 def _columns(ds):
     # repr tells -0.0 from 0.0 and 1.0 from True, which == does not
     return repr([(c.name, c.kind, c.cells) for c in ds.columns])
+
+
+def _loaded(name, sha, path):
+    """The dataset a cache of its own loads, written back as the cache
+    closes, as one command's cache is."""
+    with DatasetCache() as cache:
+        return cache.get(name, sha, path)
 
 
 # Signed zeros, boolean tokens in mixed case, missing cells, and cells
@@ -216,7 +243,7 @@ class TestColumnFile:
     def _primed(self, tmp_path, text="used,score\ntrue,1.5\nfalse,-0.0\n,\n"):
         path = write(tmp_path, "d.csv", text)
         sha = sha256_file(path)
-        DatasetCache().get("d", sha, path)
+        _loaded("d", sha, path)
         return path, sha, columns_path(path, sha)
 
     @given(table=edge_tables(COLUMN_FILE_CELLS))
@@ -235,9 +262,9 @@ class TestColumnFile:
             writer.writerow(header)
             writer.writerows(rows)
         sha = sha256_file(path)
-        parsed = DatasetCache().get("d", sha, path)
+        parsed = _loaded("d", sha, path)
         parses.clear()
-        loaded = DatasetCache().get("d", sha, path)
+        loaded = _loaded("d", sha, path)
         assert parses == []
         assert _columns(loaded) == _columns(parsed) == _columns(load_csv(path))
         assert (loaded.name, loaded.version, loaded.row_count) == ("d", sha, len(rows))
@@ -249,7 +276,7 @@ class TestColumnFile:
 
     def test_loaded_version_is_the_key(self, tmp_path, parses):
         path, sha, _ = self._primed(tmp_path)
-        ds = DatasetCache().get("e", sha, path)
+        ds = _loaded("e", sha, path)
         assert parses == ["d"]
         assert (ds.name, ds.version) == ("e", sha)
 
@@ -259,6 +286,7 @@ class TestColumnFile:
             "truncated",
             "foreign_tag",
             "other_format",
+            "format_1",
             "row_count_disagrees",
             "unknown_kind",
             "random_bytes",
@@ -270,26 +298,33 @@ class TestColumnFile:
     ):
         path, sha, target = self._primed(tmp_path)
         data = target.read_bytes()
-        tag, row_count, columns = marshal.loads(data)
+        tag, row_count, columns, entries_tag, entries = marshal.loads(data)
+        rest = (entries_tag, entries)
         target.write_bytes(
             {
                 "truncated": data[: len(data) // 2],
-                "foreign_tag": marshal.dumps((("a4l-columns", 1, (2, 7)), row_count, columns)),
+                "foreign_tag": marshal.dumps(
+                    (("a4l-columns", 2, (2, 7)), row_count, columns, *rest)
+                ),
                 # the same tag but for its format number: older typing rules
                 "other_format": marshal.dumps(
-                    ((tag[0], tag[1] + 1, *tag[2:]), row_count, columns)
+                    ((tag[0], tag[1] + 1, *tag[2:]), row_count, columns, *rest)
                 ),
-                "row_count_disagrees": marshal.dumps((tag, row_count + 1, columns)),
-                "unknown_kind": marshal.dumps((tag, row_count, (("a", "text", (None,) * row_count),))),
+                # the layout of format 1: no result entries
+                "format_1": marshal.dumps(((tag[0], 1, *tag[2:]), row_count, columns)),
+                "row_count_disagrees": marshal.dumps((tag, row_count + 1, columns, *rest)),
+                "unknown_kind": marshal.dumps(
+                    (tag, row_count, (("a", "text", (None,) * row_count),), *rest)
+                ),
                 "random_bytes": random.Random(7).randbytes(len(data)),
                 "empty": b"",
             }[spoil]
         )
         parses.clear()
-        ds = DatasetCache().get("d", sha, path)
+        ds = _loaded("d", sha, path)
         assert parses == ["d"]
         assert _columns(ds) == _columns(load_csv(path))
-        DatasetCache().get("d", sha, path)
+        _loaded("d", sha, path)
         assert parses == ["d"]  # the rewritten file serves the next load
 
     def test_unwritable_columns_still_load(self, tmp_path, parses, monkeypatch):
@@ -300,7 +335,7 @@ class TestColumnFile:
         path = write(tmp_path, "d.csv", "a\n1\n")
         sha = sha256_file(path)
         for _ in range(2):
-            assert DatasetCache().get("d", sha, path).column("a").cells == (1.0,)
+            assert _loaded("d", sha, path).column("a").cells == (1.0,)
         assert parses == ["d", "d"]
 
     def test_bytes_other_than_the_key_write_nothing(self, tmp_path, parses):
@@ -308,7 +343,7 @@ class TestColumnFile:
         path = write(tmp_path, "d.csv", "a\n1\n")
         sha = sha256_file(path)
         path.write_text("a\n2\n", encoding="utf-8")
-        ds = DatasetCache().get("d", sha, path)
+        ds = _loaded("d", sha, path)
         assert ds.version == sha256_file(path) != sha
         assert not columns_path(path, sha).parent.exists()
 

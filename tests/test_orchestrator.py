@@ -76,7 +76,9 @@ class TestScanStore:
         store.mkdir()
         for name in self.NAMES:
             (store / name).write_bytes(b"a\n1\n")
-        assert list(scan_store(store)) == sorted(p.stem for p in store.glob("*.csv"))
+        # a file named just ".csv" names no dataset
+        stems = sorted(p.stem for p in store.glob("*.csv") if p.name != ".csv")
+        assert list(scan_store(store)) == stems == [".", ".hidden", "B", "a"]
 
     def test_directory_named_csv_is_an_unreadable_store_file(self, tmp_path):
         store = tmp_path / "store"

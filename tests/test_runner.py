@@ -1,10 +1,13 @@
 """Payload execution, group splitting, result documents."""
 
 import json
+import marshal
+import shutil
 from dataclasses import fields
 
 import pytest
 
+from a4l_analytics import dataset
 from a4l_analytics.cli import main
 from a4l_analytics.dataset import Warehouse, fetch_to_staging, load_csv, sha256_file
 from a4l_analytics.errors import GroupSplitError
@@ -306,16 +309,17 @@ class TestSharedViews:
         assert derived["splits"] == [(XYZ, "used_xyz", d) for d in XYZ_DEPENDENTS]
         assert derived["summaries"] == ["false", "true"] * len(XYZ_DEPENDENTS)
 
-    def test_each_invocation_computes_again(self, tmp_path, derived, capsys):
+    def test_later_invocations_reuse_stored_entries(self, tmp_path, derived, capsys):
         root = self._root(tmp_path)
         run_cycle(root)
         for _ in range(2):
             assert main(["--root", str(root), "run", str(root / "payloads" / "a.json")]) == 0
-        assert derived["splits"] == [(XYZ, "used_xyz", d) for d in XYZ_DEPENDENTS] * 3
-        assert len(derived["summaries"]) == 3 * 2 * len(XYZ_DEPENDENTS)
-        # the cycle computes each entry once for both payloads; each run again
+        assert derived["splits"] == [(XYZ, "used_xyz", d) for d in XYZ_DEPENDENTS]
+        assert len(derived["summaries"]) == 2 * len(XYZ_DEPENDENTS)
+        # the cycle computes each entry once for both payloads; each run
+        # reads them from the dataset version's column file
         assert derived["kernels"] == {
-            name: 3 * len(XYZ_DEPENDENTS)
+            name: len(XYZ_DEPENDENTS)
             for name in ("welch_ttest", "welch_power", "mann_whitney_u")
         }
 
@@ -391,7 +395,9 @@ class TestSharedViews:
         run_cycle(root)
         shared = {domain: _written(root, domain) for domain in ("a", "b")}
         for domain in ("a", "b"):
-            # one command per payload: a fresh invocation, with nothing memoized
+            # one command per payload: a fresh invocation, with nothing
+            # memoized and no column file, so no stored entry
+            shutil.rmtree(root / "warehouse" / "columns")
             payload = root / "payloads" / f"{domain}.json"
             assert main(["--root", str(root), "run", str(payload)]) == 0
             assert _written(root, domain) == shared[domain]
@@ -462,6 +468,203 @@ class TestSharedViews:
             ("d", "used", "label")
         ] * n
         assert derived["summaries"] == []
+
+
+# A dataset whose constant column fails Welch's test and power with a
+# degenerate_data error entry.
+CONSTANT_CSV = "used,constant\n" + "".join(
+    f"{'true' if i % 2 else 'false'},3.5\n" for i in range(12)
+)
+_ERROR_REQUESTS = _requests("d", "used", ["constant"], ("get_welch_ttest", "get_welch_power"))
+
+
+class TestStoredEntries:
+    """Each dataset version's result entries are kept in its column file
+    and reused by every later invocation of the same package source."""
+
+    def _root(self, tmp_path):
+        """xyz and the constant dataset d, synced. The registry asks
+        every grouped statistic of xyz (a.json) and the error requests of
+        d (e.json); probe.json, outside the registry, asks those and the
+        contingency table too."""
+        root = build_root(tmp_path / "root", domains=("xyz",))
+        (root / "payloads" / "xyz_spring25.json").unlink()
+        (root / "store" / "d.csv").write_text(CONSTANT_CSV, encoding="utf-8")
+        for domain, requests in (
+            ("a", _requests(XYZ, "used_xyz", XYZ_DEPENDENTS)),
+            ("e", _ERROR_REQUESTS),
+        ):
+            (root / "payloads" / f"{domain}.json").write_text(
+                json.dumps(_payload(domain, requests))
+            )
+        (root / "probe.json").write_text(
+            json.dumps(_payload("probe", _ALL_REQUESTS + _ERROR_REQUESTS))
+        )
+        report = run_cycle(root)
+        assert [o.status for o in report.run_outcomes] == ["ok", "partial"]
+        return root
+
+    @staticmethod
+    def _run(root, payload="probe.json"):
+        return main(["--root", str(root), "run", str(root / payload)])
+
+    @staticmethod
+    def _files(root):
+        return sorted((root / "warehouse" / "columns").glob("*.marshal"))
+
+    @staticmethod
+    def _texts(root):
+        """Each probe document's lines but its run_id and generated_at."""
+        return {
+            path.name: [
+                line
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if '"run_id":' not in line and '"generated_at":' not in line
+            ]
+            for path in sorted((root / "results" / "probe").glob("*.json"))
+        }
+
+    @staticmethod
+    def _clear(derived):
+        derived["splits"].clear()
+        derived["summaries"].clear()
+        derived["kernels"].clear()
+
+    def _fresh_run(self, root, derived):
+        """Run the probe with no column file, so with no stored entry;
+        the kernel calls it made."""
+        shutil.rmtree(root / "warehouse" / "columns")
+        self._clear(derived)
+        assert self._run(root) == 4
+        made = dict(derived["kernels"])
+        self._clear(derived)
+        return made
+
+    def test_run_after_a_cycle_computes_only_what_the_cycle_did_not(
+        self, tmp_path, derived, capsys
+    ):
+        root = self._root(tmp_path)
+        self._clear(derived)
+        assert self._run(root) == 4
+        assert derived["splits"] == [] and derived["summaries"] == []
+        assert derived["kernels"] == {"contingency": 1}
+
+    def test_second_identical_run_computes_nothing_and_writes_the_same_bytes(
+        self, tmp_path, derived, capsys, parses
+    ):
+        root = self._root(tmp_path)
+        made = self._fresh_run(root, derived)
+        n = len(XYZ_DEPENDENTS)
+        assert made == {
+            "welch_ttest": n + 1,
+            "welch_power": n + 1,
+            "mann_whitney_u": n,
+            "contingency": 1,
+        }
+        first = self._texts(root)
+        assert any('"error": {' in line for lines in first.values() for line in lines)
+        files = {path: path.read_bytes() for path in self._files(root)}
+        parses.clear()
+        assert self._run(root) == 4
+        assert derived == {"splits": [], "summaries": [], "kernels": {}}
+        assert parses == []
+        assert self._texts(root) == first
+        # nothing was computed, so no column file was written again
+        assert {path: path.read_bytes() for path in self._files(root)} == files
+
+    def test_other_source_recomputes_every_entry_and_keeps_the_columns(
+        self, tmp_path, derived, capsys, parses, monkeypatch
+    ):
+        root = self._root(tmp_path)
+        made = self._fresh_run(root, derived)
+        first = self._texts(root)
+        parses.clear()
+        monkeypatch.setattr(dataset, "source_fingerprint", lambda: "0" * 64)
+        assert self._run(root) == 4
+        assert derived["kernels"] == made
+        assert parses == []
+        assert self._texts(root) == first
+        # the files were written again under the new fingerprint
+        self._clear(derived)
+        assert self._run(root) == 4
+        assert derived["kernels"] == {}
+
+    @pytest.mark.parametrize(
+        "spoil",
+        ["foreign_tag", "not_a_dict", "key_of_other_types", "entry_not_a_dict", "truncated"],
+    )
+    def test_bad_entries_are_ignored_and_rewritten(
+        self, tmp_path, derived, capsys, parses, spoil
+    ):
+        root = self._root(tmp_path)
+        made = self._fresh_run(root, derived)
+        first = self._texts(root)
+        for path in self._files(root):
+            data = path.read_bytes()
+            tag, row_count, columns, entries_tag, entries = marshal.loads(data)
+            key, entry = next(iter(entries.items()))
+            spoiled = {
+                "foreign_tag": ("f" * 64, entries),
+                "not_a_dict": (entries_tag, list(entries.items())),
+                "key_of_other_types": (entries_tag, {**entries, key[:4] + (1,): entry}),
+                "entry_not_a_dict": (entries_tag, {**entries, key: list(entry.items())}),
+            }.get(spoil)
+            if spoiled is None:
+                path.write_bytes(data[:-5])
+            else:
+                path.write_bytes(marshal.dumps((tag, row_count, columns, *spoiled)))
+        parses.clear()
+        assert self._run(root) == 4
+        assert derived["kernels"] == made
+        # a truncated file loses its columns too, and is parsed again
+        assert sorted(parses) == (sorted([XYZ, "d"]) if spoil == "truncated" else [])
+        assert self._texts(root) == first
+        self._clear(derived)
+        assert self._run(root) == 4
+        assert derived["kernels"] == {}
+
+    def test_validate_stores_no_entries(self, tmp_path, capsys):
+        root = self._root(tmp_path)
+        shutil.rmtree(root / "warehouse" / "columns")
+        probe = str(root / "probe.json")
+        assert main(["--root", str(root), "validate", probe]) == 0
+        files = self._files(root)
+        assert len(files) == 2
+        for path in files:
+            _, _, _, entries_tag, entries = marshal.loads(path.read_bytes())
+            assert (entries_tag, entries) == (None, {})
+        # a version loaded with its entries is not written again
+        assert self._run(root) == 4
+        stored = {path: path.read_bytes() for path in self._files(root)}
+        assert main(["--root", str(root), "validate", probe]) == 0
+        assert {path: path.read_bytes() for path in self._files(root)} == stored
+
+    def test_unwritable_columns_still_run_ok(self, tmp_path, derived, capsys):
+        root = self._root(tmp_path)
+        columns = root / "warehouse" / "columns"
+        shutil.rmtree(columns)
+        columns.write_bytes(b"")  # a file: no column file can be read or written
+        self._clear(derived)
+        for _ in range(2):
+            assert self._run(root, "payloads/a.json") == 0
+        n = len(XYZ_DEPENDENTS)
+        assert derived["kernels"] == {
+            "welch_ttest": 2 * n, "welch_power": 2 * n, "mann_whitney_u": 2 * n
+        }
+        assert columns.read_bytes() == b""
+
+    def test_update_removes_the_superseded_file_with_its_entries(self, tmp_path, capsys):
+        root = self._root(tmp_path)
+        assert self._run(root) == 4
+        store = root / "store" / f"{XYZ}.csv"
+        old = root / "warehouse" / "columns" / f"{sha256_file(store)}.marshal"
+        assert marshal.loads(old.read_bytes())[4]
+        text = store.read_text(encoding="utf-8")
+        store.write_text(text + text.splitlines()[1] + "\n", encoding="utf-8")
+        assert run_cycle(root).selected_payloads == ["a.json"]
+        named = {f"{e['sha256']}.marshal" for e in Warehouse(root).manifest().values()}
+        assert not old.exists()
+        assert {path.name for path in self._files(root)} == named
 
 
 class TestWriteResult:

@@ -5,27 +5,32 @@ Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 
-Each case reports the best of five repeats. The last case is two-sided
-post-hoc power at n1 = n2 = 20 with a 1.5 variance ratio (df 36.5): one
-t quantile and two noncentral t CDFs, the work of one power dependent.
+Each case reports the best of five repeats. The kernel cases are the
+ones ``perfbench/kernels.py`` declares (``CASES``), called with the
+backend module. The last two cases are this script's own: the t quantile,
+and two-sided post-hoc power at n1 = n2 = 20 with a 1.5 variance ratio
+(df 36.5): one t quantile and two noncentral t CDFs, the work of one
+power dependent.
 """
 
+import importlib.util
 import timeit
+from pathlib import Path
 
 from a4l_analytics.stats import GroupSummary, student_t_quantile, welch_power
 from a4l_analytics.stats._backend import kernels
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_kernels", Path(__file__).resolve().parent.parent / "perfbench" / "kernels.py"
+)
+perfbench_kernels = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_kernels)
 
 _G1 = GroupSummary(label="group1", n=20, mean=3.4, sd=1.5**0.5)
 _G2 = GroupSummary(label="group2", n=20, mean=2.7, sd=1.0)
 
 CASES = [
-    ("betainc(2.5, 3.5, 0.3)", lambda: kernels.betainc(2.5, 3.5, 0.3)),
-    ("betainc(500, 700, 0.42)", lambda: kernels.betainc(500.0, 700.0, 0.42)),
-    ("student_t_cdf(1.5, 38)", lambda: kernels.student_t_cdf(1.5, 38.0)),
-    ("noncentral_t_cdf(2.0, 38, 2.53)", lambda: kernels.noncentral_t_cdf(2.0, 38.0, 2.53)),
-    ("noncentral_t_cdf(30, 120, 32)", lambda: kernels.noncentral_t_cdf(30.0, 120.0, 32.0)),
-    ("normal_cdf(1.96)", lambda: kernels.normal_cdf(1.96)),
-    ("mwu_exact_counts(6, 6)", lambda: kernels.mwu_exact_counts(6, 6)),
+    *((name, lambda call=call: call(kernels)) for name, call in perfbench_kernels.CASES),
     ("student_t_quantile(0.975, 36.5)", lambda: student_t_quantile(0.975, 36.5)),
     ("welch_power(n1=n2=20, two-sided)", lambda: welch_power(_G1, _G2)),
 ]

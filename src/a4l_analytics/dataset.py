@@ -1,6 +1,8 @@
 """Typed columnar datasets and the local warehouse.
 
-Datasets are RFC 4180 CSV files with a header row. Column kinds are
+Datasets are RFC 4180 CSV files with a header row. A file with no
+quote, CR or NUL is split on newlines and commas directly, and any other
+goes through ``csv.reader``; both give the same rows. Column kinds are
 inferred deterministically (numeric, then boolean, then categorical) and
 the empty string is a missing cell. Dataset identity is the SHA-256 of
 the file bytes, so a version is never told by a timestamp; a file's stat
@@ -28,6 +30,7 @@ import sys
 import uuid
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -155,38 +158,79 @@ def _typed_column(name: str, raw: Sequence[str]) -> Column:
         pass
     else:
         return Column(name=name, kind=KIND_BOOLEAN, cells=tuple(cells))
-    return Column(name=name, kind=KIND_CATEGORICAL, cells=tuple(v or None for v in raw))
+    return Column(name=name, kind=KIND_CATEGORICAL, cells=tuple([v or None for v in raw]))
 
 
-def _read_rows(path: Path, data: bytes) -> Tuple[List[str], List[List[str]]]:
-    """The header and the rows of CSV bytes, with every structural check.
+def _checked_header(path: Path, header: Optional[List[str]]) -> List[str]:
+    """``header``, the first row's fields, once it names every column
+    once; DatasetError otherwise. None is a file with no row at all."""
+    if header is None:
+        raise DatasetError(f"{path}: empty file, expected a header row")
+    if header == [] or all(h == "" for h in header):
+        raise DatasetError(f"{path}: empty header row")
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DatasetError(f"{path}: duplicate header names {dupes}")
+    if "" in header:
+        raise DatasetError(f"{path}: empty column name in header")
+    return header
 
-    The bytes are decoded in one piece, so a UnicodeDecodeError names
-    the byte position in the file.
+
+def _ragged(path: Path, line_num: int, expected: int, got: int) -> DatasetError:
+    return DatasetError(
+        f"{path}: ragged row at line {line_num}, expected {expected} fields, got {got}"
+    )
+
+
+def _fields(line: str) -> List[str]:
+    """The fields of one quote-free line; a blank line has none."""
+    return line.split(",") if line else []
+
+
+def _raw_columns(path: Path, text: str) -> Tuple[List[str], int, List[Sequence[str]]]:
+    """The header, the row count and each column's raw cells of CSV text.
+
+    A text with no quote, CR or NUL, and no line longer than
+    ``csv.field_size_limit()``, is split on newlines and then on commas:
+    there, RFC 4180 and ``csv.reader`` read each line as its
+    comma-separated fields, a blank line as a row of none, and a final
+    newline as the end of the last row. Any other text goes through
+    ``csv.reader``, which alone reads quoted fields, CR line ends and NUL
+    (an error before Python 3.11). Both give the same rows, checks and
+    messages.
     """
-    with io.StringIO(data.decode("utf-8"), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file, expected a header row") from None
-        if header == [] or all(h == "" for h in header):
-            raise DatasetError(f"{path}: empty header row")
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise DatasetError(f"{path}: duplicate header names {dupes}")
-        if any(h == "" for h in header):
-            raise DatasetError(f"{path}: empty column name in header")
+    lines = None
+    if '"' not in text and "\r" not in text and "\0" not in text:
+        lines = text.split("\n")
+        if lines[-1] == "":  # a final newline ends the last row
+            lines.pop()
+        if lines and max(map(len, lines)) > csv.field_size_limit():
+            lines = None
+    if lines is None:
+        with io.StringIO(text, newline="") as fh:
+            reader = csv.reader(fh)
+            header = _checked_header(path, next(reader, None))
+            n = len(header)
+            rows = []
+            for row in reader:
+                if len(row) != n:
+                    raise _ragged(path, reader.line_num, n, len(row))
+                rows.append(row)
+        # zip yields no column for a header-only file
+        return header, len(rows), list(zip(*rows)) if rows else [()] * n
 
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: ragged row at line {reader.line_num}, "
-                    f"expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(row)
-    return header, rows
+    header = _checked_header(path, _fields(lines[0]) if lines else None)
+    n = len(header)
+    body = lines[1:]
+    # A row is whole when it holds n - 1 commas; a blank line is a row
+    # of no field, which takes a look of its own when n is 1.
+    if "" in body or set(map(str.count, body, repeat(","))) - {n - 1}:
+        for line_num, line in enumerate(body, 2):
+            got = len(_fields(line))
+            if got != n:
+                raise _ragged(path, line_num, n, got)
+    flat = ",".join(body).split(",") if body else []
+    return header, len(body), [flat[i::n] for i in range(n)]
 
 
 def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDataset:
@@ -194,26 +238,25 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
 
     Deterministic: the same bytes always produce the same dataset,
     including inferred column kinds. The file is read once; its version
-    is the SHA-256 of exactly the bytes that were parsed. The rows are
-    transposed once, and each column's cells are converted once, by the
-    first kind rule (numeric, boolean, categorical) that holds for
-    every present cell.
+    is the SHA-256 of exactly the bytes that were parsed. The bytes are
+    decoded in one piece, so a UnicodeDecodeError names the byte
+    position in the file. Quote-free text is split straight into
+    columns, and any other goes through ``csv.reader`` (see
+    ``_raw_columns``). Each column's cells are converted once, by the
+    first kind rule (numeric, boolean, categorical) that holds for every
+    present cell.
     """
     path = Path(path)
     dataset_name = name if name is not None else path.stem
     data = path.read_bytes()
 
     try:
-        header, rows = _read_rows(path, data)
+        header, row_count, raw_columns = _raw_columns(path, data.decode("utf-8"))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: unreadable CSV: {exc}") from exc
 
-    row_count = len(rows)
-    # One tuple of raw cells per column (zip yields none for a header-only
-    # file). The rows, and each raw column once typed, are let go at once,
-    # so the raw strings of a numeric column are freed as it converts.
-    raw_columns = list(zip(*rows)) if rows else [()] * len(header)
-    del rows
+    # Each raw column is let go once typed, so the raw strings of a
+    # numeric column are freed as it converts.
     columns = []
     for i, col_name in enumerate(header):
         raw, raw_columns[i] = raw_columns[i], None
@@ -234,7 +277,9 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
 # conversion, the column layout) or the file's layout changes: the files
 # are keyed by the bytes' hash alone, so an old file would otherwise keep
 # serving the old typing. Result entries need no bump: they carry the
-# source fingerprint of the code that computed them.
+# source fingerprint of the code that computed them. Which of load_csv's
+# two parses reads a text changes nothing here: both give the same
+# columns for the same bytes.
 COLUMNS_DIR = "columns"
 _COLUMNS_FORMAT = 2
 _COLUMNS_TAG = ("a4l-columns", _COLUMNS_FORMAT, marshal.version, sys.version_info[:2])

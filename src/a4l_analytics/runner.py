@@ -11,6 +11,7 @@ import json
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
@@ -20,6 +21,7 @@ from .dataset import (  # noqa: F401  load_csv: looked up here by callers
     KIND_BOOLEAN,
     KIND_CATEGORICAL,
     KIND_NUMERIC,
+    Column,
     DatasetCache,
     StagedRun,
     TabularDataset,
@@ -121,12 +123,19 @@ class GroupIndex:
     """The two levels of an independent column and the rows in each.
 
     ``masks`` holds one byte per row for each level: 1 where the row has
-    that level. Built once per independent column while its dataset is
-    cached; every dependent is split from it.
+    that level. It is built on first use, so an index read only for its
+    ``ordering`` never renders the column. Kept once per independent
+    column while its dataset is cached; every dependent is split from it.
     """
 
     labels: Tuple[str, str]
-    masks: Tuple[bytes, bytes]
+    column: Column = field(repr=False, compare=False)
+
+    @cached_property
+    def masks(self) -> Tuple[bytes, bytes]:
+        cells = self.column.rendered()
+        level1, level2 = self.labels
+        return bytes(v == level1 for v in cells), bytes(v == level2 for v in cells)
 
     def ordering(self) -> Dict[str, str]:
         return {self.labels[0]: "group1", self.labels[1]: "group2"}
@@ -143,18 +152,17 @@ def group_index(ds: TabularDataset, independent: str) -> GroupIndex:
         raise GroupSplitError(
             f"independent column {independent!r} is {col.kind}, needs boolean or categorical"
         )
-    cells = col.rendered()
-    levels = sorted({v for v in cells if v is not None})
+    present = set(col.cells)
+    present.discard(None)
+    if col.kind == KIND_BOOLEAN:
+        present = {"true" if c else "false" for c in present}
+    levels = sorted(present)
     if len(levels) != 2:
         raise GroupSplitError(
             f"independent column {independent!r} must have exactly 2 distinct "
             f"non-missing levels, found {len(levels)}: {levels}"
         )
-    level1, level2 = levels
-    return GroupIndex(
-        labels=(level1, level2),
-        masks=(bytes(v == level1 for v in cells), bytes(v == level2 for v in cells)),
-    )
+    return GroupIndex(labels=(levels[0], levels[1]), column=col)
 
 
 def split_groups(

@@ -3,14 +3,17 @@
 Everything here deliberately avoids the package's own numeric paths:
 expected values come from series expansions, brute-force enumeration,
 quadrature, Monte Carlo simulation, or scipy's independent
-implementations; the reference CSV loader keeps the loader's original
-cell-by-cell kind inference. Frozen constants in the test modules were produced by
-these functions.
+implementations; the reference CSV loaders keep the loader's original
+cell-by-cell kind inference and row-by-row ``csv.reader`` parse. Frozen
+constants in the test modules were produced by these functions.
 """
 
 import csv
+import hashlib
+import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
@@ -289,3 +292,44 @@ def load_csv_columns(path):
         kind = _infer_kind(raw)
         columns.append((name, kind, tuple(_convert(v, kind) for v in raw)))
     return columns
+
+
+def load_csv_reference(path):
+    """What ``load_csv`` makes of the file at ``path``: ([(name, kind,
+    cells)], row_count, sha256), or the message of its DatasetError.
+
+    Every text goes through ``csv.reader`` row by row, with the header
+    and row-length checks of the loader and its messages; the rows are
+    transposed with ``zip`` and each column typed by the cell-by-cell
+    rules above.
+    """
+    data = Path(path).read_bytes()
+    try:
+        with io.StringIO(data.decode("utf-8"), newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                return f"{path}: empty file, expected a header row"
+            if header == [] or all(h == "" for h in header):
+                return f"{path}: empty header row"
+            if len(set(header)) != len(header):
+                dupes = sorted({h for h in header if header.count(h) > 1})
+                return f"{path}: duplicate header names {dupes}"
+            if "" in header:
+                return f"{path}: empty column name in header"
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    return (
+                        f"{path}: ragged row at line {reader.line_num}, "
+                        f"expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(row)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return f"{path}: unreadable CSV: {exc}"
+    raw_columns = list(zip(*rows)) if rows else [()] * len(header)
+    columns = []
+    for name, raw in zip(header, raw_columns):
+        kind = _infer_kind(raw)
+        columns.append((name, kind, tuple(_convert(v, kind) for v in raw)))
+    return columns, len(rows), hashlib.sha256(data).hexdigest()

@@ -6,6 +6,7 @@ import json
 import marshal
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -168,6 +169,108 @@ class TestLoadEquivalence:
         # repr tells -0.0 from 0.0 and 1.0 from True, which == does not
         assert repr(got) == repr(oracles.load_csv_columns(path))
         assert ds.row_count == len(rows)
+
+
+# Pieces of CSV text: separators, cells of each kind, and the characters
+# that only csv.reader reads (quotes, CR, NUL), plus a byte-order mark.
+TEXT_PIECES = (
+    ",", ",", "\n", "\n", "", "1", "2.5", "-", "nan", "true", "abc", " ",
+    '"', "\r", "\0", "\ufeff",
+)
+
+
+def _outcome(path):
+    """load_csv's columns, row count and version, or its error message,
+    in the reference's form."""
+    try:
+        ds = load_csv(path)
+    except DatasetError as exc:
+        return str(exc)
+    return [(c.name, c.kind, c.cells) for c in ds.columns], ds.row_count, ds.version
+
+
+class TestSplitEquivalence:
+    """A quote-free text is split on newlines and commas directly, any
+    other text goes through csv.reader; both give what a parse of every
+    text through csv.reader gives (oracles.load_csv_reference)."""
+
+    @staticmethod
+    def _same(tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        # repr tells -0.0 from 0.0 and 1.0 from True, which == does not
+        assert repr(_outcome(path)) == repr(oracles.load_csv_reference(path))
+
+    @given(text=st.lists(st.sampled_from(TEXT_PIECES), max_size=40).map("".join))
+    @example(text="")
+    @example(text="\n")
+    @example(text="a\n\n1\n")  # a blank line is a row of no field, even for one column
+    @example(text="a,b\n1,2\n\n")
+    @example(text="a,b\n1,2\n3,4")  # no final newline
+    @example(text="a,b\n")  # header only
+    @example(text="a,b,\n1,2,\n")  # a trailing comma is an empty column name
+    @example(text="a,b\n1,2,\n")
+    @example(text="\ufeffa,b\n1,x\n")
+    @example(text="a,b\n1,\0\n")
+    @settings(
+        max_examples=800,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_equals_a_parse_through_csv_reader(self, tmp_path, text):
+        self._same(tmp_path, text)
+
+    def test_nul_follows_the_running_csv_module(self, tmp_path):
+        path = write(tmp_path, "d.csv", "a,b\n1,\0\n")
+        if sys.version_info < (3, 11):
+            with pytest.raises(DatasetError, match="unreadable CSV: line contains NUL"):
+                load_csv(path)
+        else:
+            assert load_csv(path).column("b").cells == ("\0",)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n" + "x" * 11 + ",1\n",  # a field beyond the limit
+            "a,b\n" + "x" * 6 + "," + "y" * 6 + "\n",  # only the line is
+            "a,b\n1," + "y" * 10 + "\n",  # a field at the limit
+        ],
+    )
+    def test_line_longer_than_the_field_limit(self, tmp_path, text):
+        limit = csv.field_size_limit(10)
+        try:
+            self._same(tmp_path, text)
+            outcome = _outcome(tmp_path / "d.csv")
+        finally:
+            csv.field_size_limit(limit)
+        if "x" * 11 in text:
+            assert outcome.endswith("unreadable CSV: field larger than field limit (10)")
+        else:
+            assert not isinstance(outcome, str)
+
+    def test_quote_free_text_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "d.csv", "used,score,note\ntrue,1.5,a b\nfalse,,\n")
+        expected = oracles.load_csv_reference(path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("csv.reader was called")
+
+        monkeypatch.setattr(csv, "reader", forbidden)
+        assert repr(_outcome(path)) == repr(expected)
+
+    @pytest.mark.parametrize("text", ['a,b\n"x, y",1\n', "a,b\r\n1,2\r\n", "a,b\n1,\0\n"])
+    def test_quotes_cr_and_nul_go_through_csv_reader(self, tmp_path, monkeypatch, text):
+        path = write(tmp_path, "d.csv", text)
+        calls = []
+        reader = csv.reader
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(csv, "reader", counting)
+        self._same(tmp_path, text)
+        assert len(calls) == 2  # load_csv's, and the reference's
 
 
 class TestDatasetCache:

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import pytest
 
-from a4l_analytics import dataset
+from a4l_analytics import dataset, runner
 from a4l_analytics.cli import main
 from a4l_analytics.dataset import Warehouse, fetch_to_staging, load_csv, sha256_file
 from a4l_analytics.errors import GroupSplitError
@@ -666,6 +666,56 @@ class TestStoredEntries:
         assert not old.exists()
         assert {path.name for path in self._files(root)} == named
 
+
+
+# Independents of each kind a document's groups can come from: a
+# boolean, a categorical of two levels, and one of three, which cannot
+# be split.
+LEVELS_CSV = "used,arm,site,score\n" + "".join(
+    f"{'true' if i % 2 else 'false'},{'ab'[i % 3 == 0]},{'xyz'[i % 3]},{i}.5\n"
+    for i in range(12)
+)
+
+
+class TestGroupOrdering:
+    """A document's ``groups`` come from the independent's levels; the
+    row masks are built only for a split."""
+
+    def test_stored_entries_build_no_mask_and_give_the_same_bytes(
+        self, tmp_path, derived, capsys, monkeypatch
+    ):
+        root = tmp_path / "root"
+        (root / "store").mkdir(parents=True)
+        (root / "payloads").mkdir()
+        (root / "store" / "d.csv").write_text(LEVELS_CSV, encoding="utf-8")
+        requests = [
+            request
+            for independent in ("used", "arm", "site")
+            for request in _requests("d", independent, ["score"], ("get_welch_ttest",))
+        ]
+        (root / "probe.json").write_text(json.dumps(_payload("probe", requests)))
+        run_cycle(root)
+        built = []
+        masks = runner.GroupIndex.masks
+
+        def spying(index):
+            built.append(index.labels)
+            return masks.func(index)
+
+        monkeypatch.setattr(runner.GroupIndex, "masks", property(spying))
+        assert TestStoredEntries._run(root) == 4
+        assert built == [("false", "true"), ("a", "b")]
+        assert [split[1] for split in derived["splits"]] == ["used", "arm", "site"]
+        first = TestStoredEntries._texts(root)
+        built.clear()
+        derived["splits"].clear()
+        assert TestStoredEntries._run(root) == 4
+        assert built == [] and derived["splits"] == []
+        assert TestStoredEntries._texts(root) == first
+        assert [
+            json.loads((root / "results" / "probe" / f"probe_{i}.json").read_text())["groups"]
+            for i in range(3)
+        ] == [{"false": "group1", "true": "group2"}, {"a": "group1", "b": "group2"}, None]
 
 class TestWriteResult:
     def _doc(self, result_file="sami_fall24_ttest"):

@@ -148,7 +148,7 @@ class TestLoadEquivalence:
     loader's, which infers each kind cell by cell and then converts."""
 
     @given(table=edge_tables())
-    @example(table=(["a", "b"], []))  # header only: zip(*rows) yields nothing
+    @example(table=(["a", "b"], []))  # header only: every column is empty
     @example(table=(["a"], [("",), ("",)]))
     @example(table=(["a", "b"], [("1", "yes"), ("0", "1_0"), ("-0", " 1")]))
     @example(table=(["a"], [("1.5",), ("1e400",)]))

@@ -667,7 +667,6 @@ class TestStoredEntries:
         assert {path.name for path in self._files(root)} == named
 
 
-
 # Independents of each kind a document's groups can come from: a
 # boolean, a categorical of two levels, and one of three, which cannot
 # be split.
@@ -716,6 +715,7 @@ class TestGroupOrdering:
             json.loads((root / "results" / "probe" / f"probe_{i}.json").read_text())["groups"]
             for i in range(3)
         ] == [{"false": "group1", "true": "group2"}, {"a": "group1", "b": "group2"}, None]
+
 
 class TestWriteResult:
     def _doc(self, result_file="sami_fall24_ttest"):

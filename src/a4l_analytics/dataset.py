@@ -385,7 +385,7 @@ class DatasetCache:
     holds, and is otherwise parsed.
 
     A version's file is written at most once per cache, when the version
-    leaves it (``retain``) or the cache is closed (``close``, or the end
+    leaves it (``release``) or the cache is closed (``close``, or the end
     of a ``with`` block), and only when the version was parsed or its
     result entries grew. A parsed version is written only when the bytes
     parsed hash to the key, so a dataset's version is always the hash of
@@ -394,7 +394,9 @@ class DatasetCache:
     """
 
     def __init__(self) -> None:
-        self._datasets: Dict[Tuple[str, str], TabularDataset] = {}
+        # name -> sha256 -> dataset, so a release finds a name's versions
+        # without a walk of the cache
+        self._datasets: Dict[str, Dict[str, TabularDataset]] = {}
         # the column file of each version this cache may write, and the
         # number of entries it was loaded with (None after a parse)
         self._files: Dict[Tuple[str, str], Tuple[Path, Optional[int]]] = {}
@@ -406,9 +408,10 @@ class DatasetCache:
         self.close()
 
     def get(self, name: str, sha256: str, path: Union[str, Path]) -> TabularDataset:
-        key = (name, sha256)
-        ds = self._datasets.get(key)
+        versions = self._datasets.setdefault(name, {})
+        ds = versions.get(sha256)
         if ds is None:
+            key = (name, sha256)
             target = columns_path(path, sha256)
             ds = _load_columns(target, name, sha256)
             if ds is not None:
@@ -417,31 +420,28 @@ class DatasetCache:
                 ds = load_csv(path, name=name)
                 if ds.version == sha256:
                     self._files[key] = (target, None)
-            self._datasets[key] = ds
+            versions[sha256] = ds
         return ds
 
-    def _release(self, key: Tuple[str, str]) -> None:
-        ds = self._datasets.pop(key)
-        target, loaded = self._files.pop(key, (None, 0))
-        entries = ds.views.get(ENTRIES, {})
-        # The views leave with the dataset, before the write: the splits
-        # hold every numeric cell a second time, and marshal keeps a
-        # table of each object it meets that is held more than once.
-        ds.views.clear()
-        if target is not None and len(entries) != loaded:
-            _store_columns(target, ds, entries)
-
-    def retain(self, names: Iterable[str]) -> None:
-        """Drop every cached dataset whose name is not in ``names``,
-        writing its column file first when it is due."""
-        keep = set(names)
-        for key in [k for k in self._datasets if k[0] not in keep]:
-            self._release(key)
+    def release(self, names: Iterable[str]) -> None:
+        """Drop every cached version of each dataset in ``names``, writing
+        its column file first when it is due. A name with no cached
+        version is skipped."""
+        for name in names:
+            for sha256, ds in self._datasets.pop(name, {}).items():
+                target, loaded = self._files.pop((name, sha256), (None, 0))
+                entries = ds.views.get(ENTRIES, {})
+                # The views leave with the dataset, before the write: the
+                # splits hold every numeric cell a second time, and marshal
+                # keeps a table of each object it meets that is held more
+                # than once.
+                ds.views.clear()
+                if target is not None and len(entries) != loaded:
+                    _store_columns(target, ds, entries)
 
     def close(self) -> None:
         """Drop every cached dataset, writing each column file that is due."""
-        for key in list(self._datasets):
-            self._release(key)
+        self.release(list(self._datasets))
 
 
 class _ColumnCatalog(Mapping):

@@ -9,6 +9,11 @@ nothing. A lock file makes cycles mutually exclusive; dataset hashes
 decide which payload files must be parsed again. A file's stat decides
 only whether its bytes must be read and hashed again: the registry
 record keeps each input's hash beside the stat it had when hashed.
+
+A working cycle (one that updated or selected something) writes its
+report to ``runs/<scanned_at>.json``. An idle cycle appends its report
+as one line to ``runs/idle-<UTC date>.jsonl``, so it creates no file
+after the first idle cycle of a day.
 """
 
 import fcntl
@@ -504,6 +509,36 @@ def internal_error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _append_line(path: Path, line: bytes) -> None:
+    """Append ``line``, which ends in a newline, to the file at ``path``
+    in one ``write``, creating the file, and its directory only when it
+    is missing.
+
+    A crash can leave the file's last line torn. When the file does not
+    end in a newline, one goes first, in the same ``write``, so the torn
+    line stays a line of its own, which a reader skips because it does
+    not parse, and ``line`` is whole. Only the cycle lock's holder
+    appends, so no other write interleaves. A short write raises, as a
+    failed ``atomic_write`` does. The file is created with mode 0666 less
+    the umask, as ``open`` would.
+    """
+    flags = os.O_RDWR | os.O_CREAT | os.O_APPEND
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = b"\n" + line
+        written = os.write(fd, line)
+        if written != len(line):
+            raise OSError(f"{path}: wrote {written} of {len(line)} bytes")
+    finally:
+        os.close(fd)
+
+
 def run_cycle(root: Union[str, Path]) -> SyncReport:
     """One full orchestration cycle over the pipeline root.
 
@@ -513,6 +548,13 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
     manifest is read once, and the registry record is written only when
     one of its entries changed: an input file was added, changed or
     removed, or a witness became trusted.
+
+    A working cycle, one that updated a dataset or selected a payload,
+    writes its report to ``runs/<scanned_at>.json``. An idle cycle
+    appends its report, ``run_outcomes`` included, as one compact JSON
+    line to ``runs/idle-<UTC date of scanned_at>.jsonl``: one line per
+    idle cycle, and at most one new file a day. A report that cannot be
+    written raises, after the results are written.
     """
     root = Path(root)
     with CycleLock(root / ".a4l.lock") as lock:
@@ -536,7 +578,8 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
 
         # Each dataset is loaded once per cycle and dropped, its column
         # file written when due, as soon as no remaining selected payload
-        # references it.
+        # references it. Only the finished payload's own datasets are
+        # counted down, so the bookkeeping is linear in the references.
         pending = Counter(d for payload in selected.values() for d in payload.datasets())
         with DatasetCache() as cache:
             for name, payload in selected.items():
@@ -547,13 +590,18 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
                         payload_file=name, status="error", detail=internal_error(exc)
                     )
                 report.run_outcomes.append(outcome)
-                pending.subtract(payload.datasets())
-                cache.retain(d for d, count in pending.items() if count > 0)
+                names = payload.datasets()
+                pending.subtract(names)
+                cache.release(d for d in names if pending[d] == 0)
 
         runs_dir = root / "runs"
-        runs_dir.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(asdict(report), indent=2) + "\n"
-        atomic_write(runs_dir / f"{report.scanned_at}.json", text.encode("utf-8"))
+        if report.updated or report.selected_payloads:
+            runs_dir.mkdir(parents=True, exist_ok=True)
+            text = json.dumps(asdict(report), indent=2) + "\n"
+            atomic_write(runs_dir / f"{report.scanned_at}.json", text.encode("utf-8"))
+        else:
+            line = json.dumps(asdict(report), separators=(",", ":")) + "\n"
+            _append_line(runs_dir / f"idle-{report.scanned_at[:10]}.jsonl", line.encode("utf-8"))
         return report
 
 

@@ -289,16 +289,26 @@ class TestDatasetCache:
         assert cache.get("d", "v2", path).column("a").cells == (2.0,)
         assert parses == ["d", "d"]
 
-    def test_retain_drops_other_names(self, tmp_path, parses):
+    def test_release_drops_the_named_datasets(self, tmp_path, parses):
         cache = DatasetCache()
         cache.get("d", "v1", write(tmp_path, "d.csv", "a\n1\n"))
         cache.get("e", "v1", write(tmp_path, "e.csv", "b\n1\n"))
-        cache.retain(["e"])
+        cache.release(["d"])
         cache.get("e", "v1", tmp_path / "e.csv")
         cache.get("d", "v1", tmp_path / "d.csv")
         assert parses == ["d", "e", "d"]
 
-    def test_retain_writes_a_dropped_version_before_it_is_freed(self, tmp_path, parses):
+    def test_release_drops_every_version_of_a_name(self, tmp_path, parses):
+        path = write(tmp_path, "d.csv", "a\n1\n")
+        cache = DatasetCache()
+        cache.get("d", "v1", path)
+        cache.get("d", "v2", path)
+        cache.release(["d", "unknown"])
+        cache.get("d", "v1", path)
+        cache.get("d", "v2", path)
+        assert parses == ["d", "d", "d", "d"]
+
+    def test_release_writes_a_dropped_version_before_it_is_freed(self, tmp_path, parses):
         d, e = write(tmp_path, "d.csv", "a\n1\n"), write(tmp_path, "e.csv", "b\n1\n")
         sha_d, sha_e = sha256_file(d), sha256_file(e)
         entries = {("get_descriptives", "g", "a", "two_sided", 0.05): {"dependent": "a"}}
@@ -306,7 +316,7 @@ class TestDatasetCache:
         cache.get("d", sha_d, d).views[dataset.ENTRIES] = dict(entries)
         cache.get("e", sha_e, e)
         assert not columns_path(d, sha_d).exists()
-        cache.retain(["e"])
+        cache.release(["d"])
         assert columns_path(d, sha_d).exists() and not columns_path(e, sha_e).exists()
         with DatasetCache() as other:
             assert other.get("d", sha_d, d).views[dataset.ENTRIES] == entries

@@ -1,6 +1,7 @@
-"""The golden corpus: a cold sync of the fixture domains writes exactly
-the committed texts of ``tests/data/golden/``, apart from the values that
-differ on every run (see ``benchmarks/golden.py``)."""
+"""The golden corpus: a cold sync of the fixture domains, and the idle
+sync after it, write exactly the committed texts of
+``tests/data/golden/``, apart from the values that differ on every run
+(see ``benchmarks/golden.py``)."""
 
 import importlib.util
 from pathlib import Path

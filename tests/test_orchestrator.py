@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from a4l_analytics import orchestrator
+from a4l_analytics.cli import main as a4l
 from a4l_analytics.dataset import Warehouse, sha256_file
 from a4l_analytics.errors import A4LError, LockHeldError
 from a4l_analytics.orchestrator import (
@@ -621,8 +622,10 @@ class TestRegistryRecord:
             write(path, data)
 
         monkeypatch.setattr(orchestrator, "atomic_write", recording)
-        run_cycle(settled_root)
-        assert written == ["runs"]
+        report = run_cycle(settled_root)
+        # the report is a line appended to the day's idle log
+        assert written == []
+        assert _idle_reports(_idle_log(settled_root, report))[-1]["scanned_at"] == report.scanned_at
         after = record.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
@@ -862,6 +865,145 @@ class TestCycleLock:
         assert lock.acquire()
         lock.release()
         assert path.exists()
+
+
+def _idle_log(root, report):
+    return root / "runs" / f"idle-{report.scanned_at[:10]}.jsonl"
+
+
+def _idle_reports(log):
+    """The reports of an idle log, skipping each line that does not
+    parse, as a torn one does not."""
+    reports = []
+    for line in log.read_text(encoding="utf-8").splitlines():
+        try:
+            reports.append(strict_loads(line))
+        except ValueError:
+            continue
+    return reports
+
+
+def _clock(monkeypatch, *stamps):
+    """Make the cycles that follow read ``stamps`` as their scan times."""
+    times = iter(stamps)
+    monkeypatch.setattr(orchestrator, "utc_now_rfc3339", lambda: next(times))
+
+
+class TestIdleLog:
+    """An idle cycle appends its report to runs/idle-<UTC date>.jsonl."""
+
+    DAY = "2026-10-20"
+
+    def test_idle_cycles_of_one_day_share_one_file(self, synced_root, monkeypatch):
+        runs = synced_root / "runs"
+        stamps = [f"{self.DAY}T0{i}:00:00.000000+00:00" for i in range(3)]
+        _clock(monkeypatch, *stamps)
+        run_cycle(synced_root)
+        listing = sorted(os.listdir(runs))
+        log = runs / f"idle-{self.DAY}.jsonl"
+        inode = log.stat().st_ino
+        run_cycle(synced_root)
+        run_cycle(synced_root)
+        assert sorted(os.listdir(runs)) == listing
+        assert [name.endswith(".jsonl") for name in listing] == [False, True]
+        assert log.stat().st_ino == inode
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert [strict_loads(line)["scanned_at"] for line in lines] == stamps
+
+    def test_idle_line_is_the_compact_report(self, synced_root):
+        report = run_cycle(synced_root)
+        (line,) = _idle_log(synced_root, report).read_text(encoding="utf-8").splitlines()
+        assert list(strict_loads(line)) == ["scanned_at", "updated", "selected_payloads", "run_outcomes"]
+        assert line == json.dumps(
+            {"scanned_at": report.scanned_at, "updated": [], "selected_payloads": [], "run_outcomes": []},
+            separators=(",", ":"),
+        )
+
+    def test_idle_line_logs_a_broken_payload(self, synced_root):
+        (synced_root / "payloads" / "bad.json").write_text("{", encoding="utf-8")
+        report = run_cycle(synced_root)
+        assert report.updated == [] and report.selected_payloads == []
+        (logged,) = _idle_reports(_idle_log(synced_root, report))
+        assert logged["run_outcomes"] == [
+            {
+                "payload_file": "bad.json",
+                "status": "parse_failed",
+                "result_keys": [],
+                "detail": "unparseable payload",
+            }
+        ]
+
+    def test_torn_last_line_is_ended_before_the_next(self, synced_root, monkeypatch):
+        _clock(monkeypatch, f"{self.DAY}T01:00:00+00:00", f"{self.DAY}T02:00:00+00:00")
+        run_cycle(synced_root)
+        log = synced_root / "runs" / f"idle-{self.DAY}.jsonl"
+        first = log.read_bytes()
+        torn = first[: len(first) // 2]
+        with open(log, "ab") as fh:
+            fh.write(torn)
+        run_cycle(synced_root)
+        lines = log.read_bytes().split(b"\n")
+        assert lines[:2] == [first[:-1], torn] and lines[3] == b""
+        assert [r["scanned_at"] for r in _idle_reports(log)] == [
+            f"{self.DAY}T01:00:00+00:00",
+            f"{self.DAY}T02:00:00+00:00",
+        ]
+
+    def test_new_utc_date_starts_a_new_file(self, synced_root, monkeypatch):
+        _clock(monkeypatch, "2026-10-20T23:59:59.999999+00:00", "2026-10-21T00:00:00.000001+00:00")
+        run_cycle(synced_root)
+        run_cycle(synced_root)
+        logs = sorted((synced_root / "runs").glob("*.jsonl"))
+        assert [p.name for p in logs] == ["idle-2026-10-20.jsonl", "idle-2026-10-21.jsonl"]
+        assert [len(_idle_reports(p)) for p in logs] == [1, 1]
+
+    def test_working_cycle_writes_its_own_report(self, synced_root):
+        log = _idle_log(synced_root, run_cycle(synced_root))
+        idle = log.read_bytes()
+        before = set(os.listdir(synced_root / "runs"))
+        _touch_store(synced_root)
+        report = run_cycle(synced_root)
+        assert set(os.listdir(synced_root / "runs")) - before == {f"{report.scanned_at}.json"}
+        stored = strict_loads(
+            (synced_root / "runs" / f"{report.scanned_at}.json").read_text(encoding="utf-8")
+        )
+        assert stored["selected_payloads"] == ["sami_fall24.json"]
+        assert log.read_bytes() == idle
+
+    def test_runs_directory_is_made_only_when_missing(self, settled_root, monkeypatch):
+        made = []
+        mkdir = os.mkdir
+
+        def recording(path, *args, **kwargs):
+            made.append(Path(path).name)
+            mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", recording)
+        run_cycle(settled_root)
+        assert made == []
+        for path in (settled_root / "runs").iterdir():
+            path.unlink()
+        (settled_root / "runs").rmdir()
+        report = run_cycle(settled_root)
+        assert made == ["runs"]
+        assert len(_idle_reports(_idle_log(settled_root, report))) == 1
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_idle_log_follows_the_umask(self, synced_root, umask, mode):
+        previous = os.umask(umask)
+        try:
+            report = run_cycle(synced_root)
+        finally:
+            os.umask(previous)
+        assert _idle_log(synced_root, report).stat().st_mode & 0o777 == mode
+
+    def test_failed_append_fails_the_sync(self, synced_root, monkeypatch):
+        _clock(monkeypatch, f"{self.DAY}T01:00:00+00:00", f"{self.DAY}T02:00:00+00:00")
+        # a directory where the day's log belongs cannot be opened for writing
+        (synced_root / "runs" / f"idle-{self.DAY}.jsonl").mkdir()
+        with pytest.raises(OSError):
+            run_cycle(synced_root)
+        assert a4l(["--root", str(synced_root), "sync"]) == 1
 
 
 class TestRunCycle:
@@ -1214,6 +1356,46 @@ class TestParseOnce:
             ("sami_fall24.json", ["sami_fall24_usage"]),
             ("vera_summer23.json", []),
         ]
+
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_release_bookkeeping_is_linear(self, tmp_path, monkeypatch, n):
+        # N payloads, each of its own dataset: the cycle hands each
+        # dataset to the cache's release once, after its one payload,
+        # rather than re-examining every dataset still referenced
+        root = tmp_path / "root"
+        for directory in ("store", "payloads"):
+            (root / directory).mkdir(parents=True)
+        names = [f"d{i:03}" for i in range(n)]
+        for name in names:
+            (root / "store" / f"{name}.csv").write_text("g,x\na,1\nb,2\na,3\nb,5\n", encoding="utf-8")
+            payload = {
+                "payload_version": 1,
+                "domain": "n",
+                "analyses": [
+                    {
+                        "statistic": "get_descriptives",
+                        "dataset": name,
+                        "independent": "g",
+                        "dependent": ["x"],
+                        "result_file": name,
+                    }
+                ],
+                "output": {"bucket": "n", "prefix": ""},
+            }
+            (root / "payloads" / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+        examined = []
+        release = orchestrator.DatasetCache.release
+
+        def counting(self, datasets):
+            datasets = list(datasets)
+            examined.extend(datasets)
+            release(self, datasets)
+
+        monkeypatch.setattr(orchestrator.DatasetCache, "release", counting)
+        report = run_cycle(root)
+        assert len(report.selected_payloads) == n and report.all_ok()
+        assert examined == names
 
 
 class TestBrokenDataset:

@@ -79,9 +79,10 @@ def cmd_validate(args) -> int:
     # writes after a parse may replace one that a concurrent cycle or run
     # wrote with entries: those entries are computed again later, and no
     # value served is ever wrong.
+    warehouse = Warehouse(args.root)
     try:
         with DatasetCache() as cache:
-            catalog = Warehouse(args.root).column_catalog(cache)
+            catalog = warehouse.column_catalog(cache, warehouse.manifest())
             report = validate_payload(payload, catalog=catalog)
     except (A4LError, OSError) as exc:
         _emit(args, f"error: {exc}", {"error": str(exc)})
@@ -101,16 +102,17 @@ def cmd_run(args) -> int:
     # under the cycle lock, so no sync replaces a version this run read
     # before its documents are written, and the cache writes its column
     # files before the lock is released; a root where the lock file cannot
-    # be opened is an I/O error
+    # be opened, or whose manifest cannot be read, is an I/O error
+    warehouse = Warehouse(args.root)
     try:
         with CycleLock(Path(args.root) / ".a4l.lock"), DatasetCache() as cache:
             outcome = run_payload_file(
-                Path(args.payload).name, payload, Warehouse(args.root), cache
+                Path(args.payload).name, payload, warehouse, cache, warehouse.manifest()
             )
     except LockHeldError as exc:
         _emit(args, f"locked: {exc}", {"error": str(exc)})
         return EXIT_LOCK
-    except OSError as exc:
+    except (ManifestError, OSError) as exc:
         _emit(args, f"error: {exc}", {"error": str(exc)})
         return EXIT_IO
     except Exception as exc:

@@ -60,9 +60,6 @@ class Column:
     kind: str
     cells: tuple
 
-    def present(self) -> list:
-        return [c for c in self.cells if c is not None]
-
     def rendered(self) -> List[Optional[str]]:
         """Cells as strings (booleans become 'true'/'false')."""
         out: List[Optional[str]] = []
@@ -98,9 +95,6 @@ class TabularDataset:
             if col.name == name:
                 return col
         raise UnknownDatasetError(f"dataset {self.name!r} has no column {name!r}")
-
-    def column_names(self) -> List[str]:
-        return [c.name for c in self.columns]
 
     def kinds(self) -> Dict[str, str]:
         return {c.name: c.kind for c in self.columns}
@@ -527,18 +521,16 @@ class Warehouse:
         return self.dir / f"{name}.csv"
 
     def column_catalog(
-        self, cache: Optional[DatasetCache] = None, manifest: Optional[Dict[str, dict]] = None
+        self, cache: DatasetCache, manifest: Dict[str, dict]
     ) -> Mapping[str, Dict[str, str]]:
         """Column-kind catalog for every dataset of ``manifest``, the
-        entries of ``manifest()``, which are read now when not given.
+        entries of ``manifest()``.
 
         A dataset is loaded (through ``cache``) only when its kinds are
         looked up, so a lookup can raise DatasetError or OSError for a
         broken or missing file.
         """
-        if manifest is None:
-            manifest = self.manifest()
-        return _ColumnCatalog(self, DatasetCache() if cache is None else cache, manifest)
+        return _ColumnCatalog(self, cache, manifest)
 
 
 @dataclass
@@ -556,16 +548,14 @@ class StagedRun:
 
 
 def fetch_to_staging(
-    names: Iterable[str], warehouse: Warehouse, manifest: Optional[Dict[str, dict]] = None
+    names: Iterable[str], warehouse: Warehouse, manifest: Dict[str, dict]
 ) -> StagedRun:
     """Resolve the requested dataset names against ``manifest``, the
-    entries of ``warehouse.manifest()``, which are read now when not given.
+    entries of ``warehouse.manifest()``.
 
     Every name must already be in the manifest; after payload validation
     an unknown name here is an internal error.
     """
-    if manifest is None:
-        manifest = warehouse.manifest()
     run = StagedRun(run_id=uuid.uuid4().hex)
     for name in names:
         if name not in manifest:

@@ -162,24 +162,21 @@ def _trusted(witness: List[int], stamp: Optional[int]) -> bool:
 
 
 def scan_store(
-    store_dir: Union[str, Path],
-    record: Optional["RegistryRecord"] = None,
-    stamp: Optional[int] = None,
+    store_dir: Union[str, Path], record: "RegistryRecord", stamp: Optional[int]
 ) -> Dict[str, str]:
     """The sha256 of every CSV in the published data store, by dataset
     name: the file name without its ``.csv`` suffix. A file named just
     ``.csv`` names no dataset and is skipped.
 
-    Each file is stat'ed before it is read. With ``record``, a file whose
-    stat equals the witness of its entry in ``record.store`` is not read
-    again; every other file is hashed, and ``record.store`` becomes what
-    the scan found, with the witness of each file hashed under the lock
-    stamped ``stamp`` kept only when ``_trusted``.
+    Each file is stat'ed before it is read. A file whose stat equals the
+    witness of its entry in ``record.store`` is not read again; every
+    other file is hashed, and ``record.store`` becomes what the scan
+    found, with the witness of each file hashed under the lock stamped
+    ``stamp`` kept only when ``_trusted``.
     """
     store = Path(store_dir)
     if not store.is_dir():
         raise A4LError(f"published store directory {store} does not exist")
-    known = record.store if record is not None else {}
     found: Dict[str, dict] = {}
     result = {}
     for item in _listing(store, ".csv"):
@@ -188,7 +185,7 @@ def scan_store(
             continue
         try:
             witness = _witness(item.stat())
-            entry = known.get(name)
+            entry = record.store.get(name)
             if entry is None or entry["stat"] != witness:
                 stat = witness if _trusted(witness, stamp) else None
                 entry = {"sha256": sha256_file(item.path), "stat": stat}
@@ -196,8 +193,7 @@ def scan_store(
             raise A4LError(f"unreadable store file {item.path}: {exc}") from exc
         found[name] = entry
         result[name] = entry["sha256"]
-    if record is not None:
-        record.store = found
+    record.store = found
     return result
 
 
@@ -205,13 +201,13 @@ def sync_warehouse(
     scan: Dict[str, str],
     warehouse: Warehouse,
     lock: CycleLock,
-    manifest: Optional[Dict[str, dict]] = None,
+    manifest: Dict[str, dict],
 ) -> List[UpdateRecord]:
     """Pull changed store files into the warehouse, archiving old bytes.
 
-    ``manifest`` holds the entries of ``warehouse.manifest()``, which are
-    read now when not given; they are brought up to date in place, so
-    afterwards they are the manifest the cycle runs against.
+    ``manifest`` holds the entries of ``warehouse.manifest()``; they are
+    brought up to date in place, so afterwards they are the manifest the
+    cycle runs against.
 
     For every dataset whose store hash differs from the manifest (or is
     absent from it), and whose bytes still exist and differ when read for
@@ -227,8 +223,6 @@ def sync_warehouse(
     if not lock.held:
         raise A4LError("sync_warehouse requires the cycle lock to be held")
 
-    if manifest is None:
-        manifest = warehouse.manifest()
     store_dir = warehouse.root / "store"
     updates: List[UpdateRecord] = []
 
@@ -374,7 +368,7 @@ def _parsed_entry(
 
 def payload_index(
     registry_dir: Union[str, Path],
-    record: Optional[RegistryRecord] = None,
+    record: RegistryRecord,
     updated: AbstractSet[str] = frozenset(),
     stamp: Optional[int] = None,
 ) -> Tuple[Dict[str, List[str]], Dict[str, AnalysisPayload], List[str]]:
@@ -395,12 +389,11 @@ def payload_index(
     references: Dict[str, List[str]] = {}
     selected: Dict[str, AnalysisPayload] = {}
     broken: List[str] = []
-    known = record.payloads if record is not None else {}
     found: Dict[str, dict] = {}
     registry = Path(registry_dir)
     for item in _listing(registry, ".json") if registry.is_dir() else ():
         name = item.name
-        entry, payload = known.get(name), None
+        entry, payload = record.payloads.get(name), None
         selects = (
             entry is not None
             and entry["datasets"] is not None
@@ -427,23 +420,22 @@ def payload_index(
         references[name] = entry["datasets"]
         if not updated.isdisjoint(entry["datasets"]):
             selected[name] = payload
-    if record is not None:
-        record.payloads = found
+    record.payloads = found
     return references, selected, broken
 
 
 def select_affected_payloads(
     updates: List[UpdateRecord],
     registry_dir: Union[str, Path],
-    record: Optional[RegistryRecord] = None,
-    stamp: Optional[int] = None,
+    record: RegistryRecord,
+    stamp: Optional[int],
 ) -> Tuple[Dict[str, AnalysisPayload], List[str]]:
     """Parsed payloads referencing at least one updated dataset, by file
     name, and the names of the unreadable or unparseable payload files.
 
     Deterministic (lexicographic by file name); unparseable payloads are
-    reported back, never fatal. With ``record``, only new, changed and
-    selected files are read and parsed (see ``payload_index``).
+    reported back, never fatal. Only new, changed and selected files are
+    read and parsed (see ``payload_index``).
     """
     _, selected, broken = payload_index(
         registry_dir, record, {u.dataset for u in updates}, stamp
@@ -456,21 +448,18 @@ def run_payload_file(
     payload: AnalysisPayload,
     warehouse: Warehouse,
     cache: DatasetCache,
-    manifest: Optional[Dict[str, dict]] = None,
+    manifest: Dict[str, dict],
 ) -> RunOutcome:
     """Validate, resolve, execute and store one parsed payload.
 
     The one payload path of both ``sync`` and ``a4l run``; ``name`` is
     the payload's file name. ``manifest`` holds the entries of
-    ``warehouse.manifest()``, which are read now when not given;
-    validation and execution both use them, so they see the same
-    versions. ``cache`` shares loaded datasets with the other payloads of
-    a cycle. A referenced dataset that cannot be read or parsed fails
-    this payload only, with status ``error``.
+    ``warehouse.manifest()``; validation and execution both use them, so
+    they see the same versions. ``cache`` shares loaded datasets with the
+    other payloads of a cycle. A referenced dataset that cannot be read
+    or parsed fails this payload only, with status ``error``.
     """
     try:
-        if manifest is None:
-            manifest = warehouse.manifest()
         catalog = warehouse.column_catalog(cache, manifest)
         report = validate_payload(payload, catalog=catalog)
     except (A4LError, OSError) as exc:

@@ -8,7 +8,6 @@ payload and the dataset bytes, apart from run_id and generated_at.
 """
 
 import json
-import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -101,21 +100,18 @@ class GroupSplit:
     sample2: List[float]
     ordering: Dict[str, str]
     labels: Tuple[str, str]
-    _summaries: Optional[Tuple[GroupSummary, GroupSummary]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
+    @cached_property
     def summaries(self) -> Tuple[GroupSummary, GroupSummary]:
-        """The descriptives of both groups, computed on the first call.
+        """The descriptives of both groups, computed on first use.
 
-        A DegenerateDataError is raised again on every call.
+        A DegenerateDataError is raised again on every access: a getter
+        that raises stores nothing.
         """
-        if self._summaries is None:
-            self._summaries = (
-                descriptives(self.sample1, label=self.labels[0]),
-                descriptives(self.sample2, label=self.labels[1]),
-            )
-        return self._summaries
+        return (
+            descriptives(self.sample1, label=self.labels[0]),
+            descriptives(self.sample2, label=self.labels[1]),
+        )
 
 
 @dataclass(frozen=True)
@@ -199,12 +195,12 @@ def split_groups(
 
 
 def _welch_ttest(split: GroupSplit, dep: str, alternative: str, alpha: float):
-    g1, g2 = split.summaries()
+    g1, g2 = split.summaries
     return welch_ttest(g1, g2, alternative=alternative, alpha=alpha, dependent=dep)
 
 
 def _welch_power(split: GroupSplit, dep: str, alternative: str, alpha: float):
-    g1, g2 = split.summaries()
+    g1, g2 = split.summaries
     return welch_power(g1, g2, alpha=alpha, alternative=alternative, dependent=dep)
 
 
@@ -215,7 +211,7 @@ def _mann_whitney_u(split: GroupSplit, dep: str, alternative: str, alpha: float)
 
 
 def _descriptives(split: GroupSplit, dep: str, alternative: str, alpha: float):
-    g1, g2 = split.summaries()
+    g1, g2 = split.summaries
     return DescriptivesResult(dependent=dep, group1=g1, group2=g2)
 
 
@@ -339,23 +335,19 @@ def _execute_request(
 
 
 def execute_payload(
-    payload: "AnalysisPayload", staged: StagedRun, cache: Optional[DatasetCache] = None
+    payload: "AnalysisPayload", staged: StagedRun, cache: DatasetCache
 ) -> List[ResultDocument]:
     """Run every request of a validated payload, in payload order.
 
     Datasets come from ``cache`` when it already holds the manifest
-    version; otherwise it loads them from the warehouse. Without
-    ``cache``, a cache of this call's own is used and never closed, so
-    nothing it computes is written back.
+    version; otherwise it loads them from the warehouse.
     """
-    run_id = staged.run_id or uuid.uuid4().hex
     generated_at = utc_now_rfc3339()
-    cache = DatasetCache() if cache is None else cache
     documents = []
     for req in payload.analyses:
         name = req.dataset
         ds = cache.get(name, staged.versions[name], staged.staged[name])
-        documents.append(_execute_request(payload, req, ds, run_id, generated_at))
+        documents.append(_execute_request(payload, req, ds, staged.run_id, generated_at))
     return documents
 
 

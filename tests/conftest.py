@@ -448,6 +448,16 @@ def no_staging(monkeypatch):
 
 
 @pytest.fixture
+def empty_record(tmp_path):
+    """A registry record that holds no entry, kept outside every root and
+    never saved: with no lock stamp, a scan or walk over it reads and
+    hashes every input file."""
+    from a4l_analytics.orchestrator import RegistryRecord
+
+    return RegistryRecord(tmp_path / "empty-reconcile.json")
+
+
+@pytest.fixture
 def domain_root(tmp_path):
     return build_root(tmp_path / "root")
 

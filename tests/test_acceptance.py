@@ -434,12 +434,13 @@ def _mutate(doc, mutation, rng):
 
 @pytest.fixture(scope="module")
 def coherence_root(tmp_path_factory):
-    from a4l_analytics.dataset import Warehouse
+    from a4l_analytics.dataset import DatasetCache, Warehouse
     from a4l_analytics.orchestrator import run_cycle
 
     root = build_root(tmp_path_factory.mktemp("coherence"))
     run_cycle(root)
-    return root, Warehouse(root).column_catalog()
+    warehouse = Warehouse(root)
+    return root, warehouse.column_catalog(DatasetCache(), warehouse.manifest())
 
 
 class TestCriterion5StructuralCoherence:
@@ -469,7 +470,7 @@ class TestCriterion5StructuralCoherence:
         _report(5, "1000/1000 single-mutation corruptions rejected with diagnostics")
 
     def test_100_valid_payloads_execute_end_to_end(self, coherence_root):
-        from a4l_analytics.dataset import Warehouse, fetch_to_staging
+        from a4l_analytics.dataset import DatasetCache, Warehouse, fetch_to_staging
         from a4l_analytics.payload import parse_payload, validate_payload
         from a4l_analytics.runner import execute_payload, write_result
 
@@ -482,8 +483,8 @@ class TestCriterion5StructuralCoherence:
             payload = parse_payload(json.dumps(doc))
             report = validate_payload(payload, catalog=catalog)
             assert report.ok, report.render()
-            staged = fetch_to_staging(sorted(payload.datasets()), warehouse)
-            docs = execute_payload(payload, staged)
+            staged = fetch_to_staging(sorted(payload.datasets()), warehouse, warehouse.manifest())
+            docs = execute_payload(payload, staged, DatasetCache())
             assert len(docs) == len(payload.analyses)
             for result_doc in docs:
                 write_result(result_doc, payload.output, root / "results")

@@ -501,14 +501,14 @@ class TestList:
     }
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    @pytest.mark.parametrize("command", ["list", "sync", "run"])
+    @pytest.mark.parametrize("command", ["list", "sync", "run", "validate"])
     @pytest.mark.parametrize("manifest", sorted(UNDECODABLE_MANIFESTS))
     def test_undecodable_manifest_exits_1(self, synced_root, capsys, manifest, command, as_json):
         path = synced_root / "warehouse" / "manifest.json"
         path.write_bytes(self.UNDECODABLE_MANIFESTS[manifest])
         args = ["--json"] if as_json else []
         args.append(command)
-        if command == "run":
+        if command in ("run", "validate"):
             args.append(str(synced_root / "payloads" / "sami_fall24.json"))
         code = run_cli("--root", str(synced_root), *args)
         captured = capsys.readouterr()

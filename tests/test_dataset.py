@@ -52,7 +52,7 @@ class TestLoadCsv:
         path = write(tmp_path, "d.csv", "age_group\n<25\n>=25\n<25\n")
         col = load_csv(path).column("age_group")
         assert col.kind == "categorical"
-        assert set(col.present()) == {"<25", ">=25"}
+        assert col.cells == ("<25", ">=25", "<25")
 
     def test_inference_order_numeric_wins(self, tmp_path):
         path = write(tmp_path, "d.csv", "flag\n0\n1\n0\n")
@@ -101,7 +101,7 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         ds = load_csv(path)
-        assert ds.column_names() == ["\ufeffa", "note"]
+        assert [c.name for c in ds.columns] == ["\ufeffa", "note"]
         assert ds.column("note").cells == ("two\r\nlines",)
         assert ds.version == hashlib.sha256(raw).hexdigest()
 
@@ -521,7 +521,8 @@ class TestWarehouse:
 
     def test_column_catalog(self, tmp_path):
         wh = self._prime(tmp_path, "d", "used,score\ntrue,1.5\nfalse,2.5\n")
-        assert wh.column_catalog() == {"d": {"used": "boolean", "score": "numeric"}}
+        catalog = wh.column_catalog(DatasetCache(), wh.manifest())
+        assert catalog == {"d": {"used": "boolean", "score": "numeric"}}
 
     def test_column_catalog_parses_only_what_is_looked_up(self, tmp_path, parses):
         wh = self._prime(tmp_path, "d", "used,score\ntrue,1.5\nfalse,2.5\n")
@@ -531,7 +532,7 @@ class TestWarehouse:
         manifest["broken"] = dict(manifest["d"], sha256=sha256_file(broken))
         wh.write_manifest(manifest)
 
-        catalog = wh.column_catalog(DatasetCache())
+        catalog = wh.column_catalog(DatasetCache(), wh.manifest())
         assert sorted(catalog) == ["broken", "d"]
         assert "broken" in catalog and "ghost" not in catalog
         assert parses == []
@@ -560,20 +561,20 @@ class TestStaging:
 
     def test_resolves_to_warehouse_files(self, tmp_path):
         wh = self._warehouse(tmp_path)
-        run = fetch_to_staging(["one", "two"], wh)
-        assert run.staged == {"one": wh.dataset_path("one"), "two": wh.dataset_path("two")}
         manifest = wh.manifest()
+        run = fetch_to_staging(["one", "two"], wh, manifest)
+        assert run.staged == {"one": wh.dataset_path("one"), "two": wh.dataset_path("two")}
         for name, path in run.staged.items():
             assert run.versions[name] == manifest[name]["sha256"] == sha256_file(path)
 
     def test_empty_request(self, tmp_path):
         wh = self._warehouse(tmp_path)
-        assert fetch_to_staging([], wh).staged == {}
+        assert fetch_to_staging([], wh, wh.manifest()).staged == {}
 
     def test_unknown_name_is_internal_error(self, tmp_path):
         wh = self._warehouse(tmp_path)
         with pytest.raises(UnknownDatasetError):
-            fetch_to_staging(["ghost"], wh)
+            fetch_to_staging(["ghost"], wh, wh.manifest())
 
     def test_missing_count_preserved(self, tmp_path):
         wh = Warehouse(tmp_path)
@@ -592,7 +593,7 @@ class TestStaging:
         )
         before = load_csv(target, name="gaps")
         missing_before = sum(1 for c in before.column("x").cells if c is None)
-        run = fetch_to_staging(["gaps"], wh)
+        run = fetch_to_staging(["gaps"], wh, wh.manifest())
         after = load_csv(run.staged["gaps"], name="gaps")
         missing_after = sum(1 for c in after.column("x").cells if c is None)
         assert missing_before == missing_after == 2

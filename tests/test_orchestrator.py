@@ -35,25 +35,25 @@ from schema_check import strict_loads
 
 
 class TestScanStore:
-    def test_empty_store(self, tmp_path):
+    def test_empty_store(self, tmp_path, empty_record):
         (tmp_path / "store").mkdir()
-        assert scan_store(tmp_path / "store") == {}
+        assert scan_store(tmp_path / "store", empty_record, None) == {}
 
-    def test_hash_matches_independent_tool(self, tmp_path):
+    def test_hash_matches_independent_tool(self, tmp_path, empty_record):
         store = tmp_path / "store"
         store.mkdir()
         (store / "d.csv").write_bytes(b"a\n1\n")
         expected = hashlib.sha256(b"a\n1\n").hexdigest()
-        assert scan_store(store) == {"d": expected}
+        assert scan_store(store, empty_record, None) == {"d": expected}
 
-    def test_mtime_ignored(self, tmp_path):
+    def test_mtime_ignored(self, tmp_path, empty_record):
         store = tmp_path / "store"
         store.mkdir()
         path = store / "d.csv"
         path.write_bytes(b"a\n1\n")
-        first = scan_store(store)
+        first = scan_store(store, empty_record, None)
         os.utime(path, (1, 1))
-        assert scan_store(store) == first
+        assert scan_store(store, empty_record, None) == first
 
     # names Path.glob("*.csv") and Path.glob("*.json") tell apart: case,
     # hidden files, a bare suffix, near misses
@@ -72,22 +72,22 @@ class TestScanStore:
         assert listed == sorted(p.name for p in tmp_path.glob(f"*{suffix}"))
         assert f"dir{suffix}" in listed
 
-    def test_dataset_names_are_path_stems(self, tmp_path):
+    def test_dataset_names_are_path_stems(self, tmp_path, empty_record):
         store = tmp_path / "store"
         store.mkdir()
         for name in self.NAMES:
             (store / name).write_bytes(b"a\n1\n")
         # a file named just ".csv" names no dataset
         stems = sorted(p.stem for p in store.glob("*.csv") if p.name != ".csv")
-        assert list(scan_store(store)) == stems == [".", ".hidden", "B", "a"]
+        assert list(scan_store(store, empty_record, None)) == stems == [".", ".hidden", "B", "a"]
 
-    def test_directory_named_csv_is_an_unreadable_store_file(self, tmp_path):
+    def test_directory_named_csv_is_an_unreadable_store_file(self, tmp_path, empty_record):
         store = tmp_path / "store"
         store.mkdir()
         (store / "d.csv").write_bytes(b"a\n1\n")
         (store / "x.csv").mkdir()
         record = orchestrator.RegistryRecord(tmp_path / "reconcile.json")
-        for args in ((), (record, time.time_ns())):
+        for args in ((empty_record, None), (record, time.time_ns())):
             with pytest.raises(A4LError, match="unreadable store file .*x.csv"):
                 scan_store(store, *args)
 
@@ -98,38 +98,43 @@ class TestSyncWarehouse:
         assert lock.acquire()
         return lock
 
+    def _sync(self, wh, lock, record):
+        """Sync ``wh`` from a scan of its store over ``record``, with no
+        lock stamp, against the manifest on disk."""
+        return sync_warehouse(scan_store(wh.root / "store", record, None), wh, lock, wh.manifest())
+
     def test_requires_lock(self, domain_root):
         lock = CycleLock(domain_root / ".a4l.lock")  # never acquired
         with pytest.raises(Exception, match="lock"):
-            sync_warehouse({}, Warehouse(domain_root), lock)
+            sync_warehouse({}, Warehouse(domain_root), lock, {})
 
-    def test_noop_leaves_manifest_untouched(self, domain_root):
+    def test_noop_leaves_manifest_untouched(self, domain_root, empty_record):
         wh = Warehouse(domain_root)
         lock = self._locked(domain_root)
         try:
-            sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            self._sync(wh, lock, empty_record)
             before = wh.manifest_path.read_bytes()
-            updates = sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            updates = self._sync(wh, lock, empty_record)
             assert updates == []
             assert wh.manifest_path.read_bytes() == before
         finally:
             lock.release()
 
-    def test_new_dataset_has_no_archive(self, domain_root):
+    def test_new_dataset_has_no_archive(self, domain_root, empty_record):
         wh = Warehouse(domain_root)
         lock = self._locked(domain_root)
         try:
-            updates = sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            updates = self._sync(wh, lock, empty_record)
         finally:
             lock.release()
         assert len(updates) == 3
         assert all(u.old_sha256 is None and u.archived_to is None for u in updates)
 
-    def test_changed_dataset_archived_with_old_bytes(self, domain_root):
+    def test_changed_dataset_archived_with_old_bytes(self, domain_root, empty_record):
         wh = Warehouse(domain_root)
         lock = self._locked(domain_root)
         try:
-            sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            self._sync(wh, lock, empty_record)
             old_bytes = wh.dataset_path("jw_fall23_usage").read_bytes()
             old_sha = wh.manifest()["jw_fall23_usage"]["sha256"]
 
@@ -138,7 +143,7 @@ class TestSyncWarehouse:
                 store_file.read_text(encoding="utf-8") + "true,91.00,<25\n",
                 encoding="utf-8",
             )
-            updates = sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            updates = self._sync(wh, lock, empty_record)
         finally:
             lock.release()
         assert len(updates) == 1
@@ -150,7 +155,7 @@ class TestSyncWarehouse:
         assert sha256_file(archived) == old_sha
 
     def test_old_file_stays_whole_until_the_new_one_replaces_it(
-        self, domain_root, monkeypatch
+        self, domain_root, monkeypatch, empty_record
     ):
         wh = Warehouse(domain_root)
         target = wh.dataset_path("jw_fall23_usage")
@@ -172,12 +177,12 @@ class TestSyncWarehouse:
 
         lock = self._locked(domain_root)
         try:
-            sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            self._sync(wh, lock, empty_record)
             old_bytes = target.read_bytes()
             store_file = domain_root / "store" / "jw_fall23_usage.csv"
             store_file.write_bytes(store_file.read_bytes() + b"true,91.00,<25\n")
             monkeypatch.setattr(os, "replace", checking_replace)
-            (record,) = sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            (record,) = self._sync(wh, lock, empty_record)
         finally:
             lock.release()
         new_bytes = store_file.read_bytes()
@@ -228,17 +233,17 @@ class TestSyncWarehouse:
         assert record.archived_to == f"archive/{name}/{old_sha}.csv"
         assert wh.manifest()[name]["sha256"] == sha256_file(store_file)
 
-    def test_records_the_hash_of_the_bytes_copied(self, synced_root):
+    def test_records_the_hash_of_the_bytes_copied(self, synced_root, empty_record):
         wh = Warehouse(synced_root)
         name = "jw_fall23_usage"
         store_file = synced_root / "store" / f"{name}.csv"
         first = store_file.read_bytes()
         store_file.write_bytes(first + b"true,91.00,<25\n")
-        stale_scan = scan_store(synced_root / "store")
+        stale_scan = scan_store(synced_root / "store", empty_record, None)
         store_file.write_bytes(first + b"false,12.00,<25\n")
         lock = self._locked(synced_root)
         try:
-            (record,) = sync_warehouse(stale_scan, wh, lock)
+            (record,) = sync_warehouse(stale_scan, wh, lock, wh.manifest())
         finally:
             lock.release()
         copied = sha256_file(wh.dataset_path(name))
@@ -246,18 +251,18 @@ class TestSyncWarehouse:
         assert record.new_sha256 == copied
         assert wh.manifest()[name]["sha256"] == copied
 
-    def test_store_file_restored_since_the_scan_is_not_an_update(self, synced_root):
+    def test_store_file_restored_since_the_scan_is_not_an_update(self, synced_root, empty_record):
         wh = Warehouse(synced_root)
         name = "jw_fall23_usage"
         store_file = synced_root / "store" / f"{name}.csv"
         first = store_file.read_bytes()
         before = wh.manifest_path.read_bytes()
         store_file.write_bytes(first + b"true,91.00,<25\n")
-        stale_scan = scan_store(synced_root / "store")
+        stale_scan = scan_store(synced_root / "store", empty_record, None)
         store_file.write_bytes(first)
         lock = self._locked(synced_root)
         try:
-            assert sync_warehouse(stale_scan, wh, lock) == []
+            assert sync_warehouse(stale_scan, wh, lock, wh.manifest()) == []
         finally:
             lock.release()
         assert wh.manifest_path.read_bytes() == before
@@ -335,7 +340,7 @@ class TestColumnFiles:
 
 
 class TestManifestReads:
-    def test_read_once_per_cycle(self, domain_root, monkeypatch):
+    def _counted(self, monkeypatch):
         reads = []
         original = Warehouse.manifest
 
@@ -344,22 +349,35 @@ class TestManifestReads:
             return original(self)
 
         monkeypatch.setattr(Warehouse, "manifest", counting)
+        return reads
+
+    def test_read_once_per_cycle(self, domain_root, monkeypatch):
+        reads = self._counted(monkeypatch)
         report = run_cycle(domain_root)
         assert len(report.selected_payloads) == 3
         assert len(reads) == 1
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_read_once_per_command(self, synced_root, monkeypatch, command):
+        reads = self._counted(monkeypatch)
+        payload = synced_root / "payloads" / "sami_fall24.json"
+        assert a4l(["--root", str(synced_root), command, str(payload)]) == 0
+        assert reads == [synced_root]
+
 
 class TestSelection:
-    def test_exact_selection(self, synced_root):
+    def test_exact_selection(self, synced_root, empty_record):
         updates = [
             type("U", (), {"dataset": "sami_fall24_usage"})(),
         ]
-        selected, broken = select_affected_payloads(updates, synced_root / "payloads")
+        selected, broken = select_affected_payloads(
+            updates, synced_root / "payloads", empty_record, None
+        )
         assert list(selected) == ["sami_fall24.json"]
         assert selected["sami_fall24.json"].datasets() == {"sami_fall24_usage"}
         assert broken == []
 
-    def test_shared_dataset_selects_both(self, synced_root):
+    def test_shared_dataset_selects_both(self, synced_root, empty_record):
         extra = {
             "payload_version": 1,
             "domain": "meta",
@@ -378,19 +396,23 @@ class TestSelection:
             json.dumps(extra), encoding="utf-8"
         )
         updates = [type("U", (), {"dataset": "sami_fall24_usage"})()]
-        selected, _ = select_affected_payloads(updates, synced_root / "payloads")
+        selected, _ = select_affected_payloads(
+            updates, synced_root / "payloads", empty_record, None
+        )
         assert list(selected) == ["meta.json", "sami_fall24.json"]
 
-    def test_no_updates_selects_nothing(self, synced_root):
-        selected, _ = select_affected_payloads([], synced_root / "payloads")
+    def test_no_updates_selects_nothing(self, synced_root, empty_record):
+        selected, _ = select_affected_payloads([], synced_root / "payloads", empty_record, None)
         assert selected == {}
 
-    def test_unparseable_payload_reported_not_fatal(self, synced_root):
+    def test_unparseable_payload_reported_not_fatal(self, synced_root, empty_record):
         (synced_root / "payloads" / "broken.json").write_text(
             "{nope", encoding="utf-8"
         )
         updates = [type("U", (), {"dataset": "sami_fall24_usage"})()]
-        selected, broken = select_affected_payloads(updates, synced_root / "payloads")
+        selected, broken = select_affected_payloads(
+            updates, synced_root / "payloads", empty_record, None
+        )
         assert broken == ["broken.json"]
         assert list(selected) == ["sami_fall24.json"]
 
@@ -1135,13 +1157,14 @@ class TestRunCycle:
         stored = strict_loads(stored.read_text(encoding="utf-8"))
         assert stored["run_outcomes"][1]["detail"] == "KeyError: 'boom'"
 
-    def test_crash_between_sync_and_run_is_safe(self, domain_root):
+    def test_crash_between_sync_and_run_is_safe(self, domain_root, empty_record):
         # simulate a crash after sync by syncing without running
         wh = Warehouse(domain_root)
         lock = CycleLock(domain_root / ".a4l.lock")
         assert lock.acquire()
         try:
-            sync_warehouse(scan_store(domain_root / "store"), wh, lock)
+            scan = scan_store(domain_root / "store", empty_record, None)
+            sync_warehouse(scan, wh, lock, wh.manifest())
         finally:
             lock.release()
         # next cycle: manifest valid, nothing spuriously selected

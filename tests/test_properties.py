@@ -321,7 +321,7 @@ class TestExecutePayloadProperties:
         """Every dependent gets a result or an error entry, whatever
         finite cells its column holds; no exception leaves the payload,
         and every document is valid JSON, without NaN or Infinity."""
-        from a4l_analytics.dataset import StagedRun
+        from a4l_analytics.dataset import DatasetCache, StagedRun
         from a4l_analytics.runner import STATISTICS, execute_payload
 
         path = tmp_path_factory.mktemp("csv") / "d.csv"
@@ -352,7 +352,7 @@ class TestExecutePayloadProperties:
             )
         )
         staged = StagedRun(run_id="r", staged={"d": path}, versions={"d": "v1"})
-        docs = execute_payload(payload, staged)
+        docs = execute_payload(payload, staged, DatasetCache())
         assert [d.statistic for d in docs] == list(STATISTICS)
         for doc in docs:
             (entry,) = doc.results

@@ -9,11 +9,18 @@ import pytest
 
 from a4l_analytics import dataset, runner
 from a4l_analytics.cli import main
-from a4l_analytics.dataset import Warehouse, fetch_to_staging, load_csv, sha256_file
-from a4l_analytics.errors import GroupSplitError
+from a4l_analytics.dataset import (
+    DatasetCache,
+    Warehouse,
+    fetch_to_staging,
+    load_csv,
+    sha256_file,
+)
+from a4l_analytics.errors import DegenerateDataError, GroupSplitError
 from a4l_analytics.orchestrator import run_cycle
 from a4l_analytics.payload import OutputSpec, parse_payload
 from a4l_analytics.runner import (
+    GroupSplit,
     ResultDocument,
     execute_payload,
     group_index,
@@ -102,6 +109,18 @@ class TestSplitGroups:
         with pytest.raises(GroupSplitError, match="boolean or categorical"):
             split_groups(ds, "used", "label")
 
+    def test_summaries_are_kept_and_a_degenerate_error_is_raised_on_every_access(self, derived):
+        split = GroupSplit([1.0, 3.0], [2.0, 4.0], {"a": "group1", "b": "group2"}, ("a", "b"))
+        assert split.summaries is split.summaries
+        assert derived["summaries"] == ["a", "b"]
+        derived["summaries"].clear()
+        # the sum of group a overflows the float range
+        huge = GroupSplit([1e308, 1e308], [2.0, 4.0], {"a": "group1", "b": "group2"}, ("a", "b"))
+        for _ in range(2):
+            with pytest.raises(DegenerateDataError, match="overflows"):
+                huge.summaries
+        assert derived["summaries"] == ["a", "a"]
+
 
 class TestGroupIndex:
     def test_levels_and_rows(self, tmp_path):
@@ -135,12 +154,13 @@ class TestGroupIndex:
 
 def _staged_root(root):
     wh = Warehouse(root)
-    from a4l_analytics.orchestrator import CycleLock, scan_store, sync_warehouse
+    from a4l_analytics.orchestrator import CycleLock, RegistryRecord, scan_store, sync_warehouse
 
     lock = CycleLock(root / ".a4l.lock")
     assert lock.acquire()
     try:
-        sync_warehouse(scan_store(root / "store"), wh, lock)
+        scan = scan_store(root / "store", RegistryRecord(wh.reconcile_path), lock.stamp)
+        sync_warehouse(scan, wh, lock, wh.manifest())
     finally:
         lock.release()
     return wh
@@ -150,8 +170,8 @@ class TestExecutePayload:
     def test_jw_single_welch_result(self, domain_root):
         wh = _staged_root(domain_root)
         payload = parse_payload(json.dumps(jw_payload()))
-        staged = fetch_to_staging(sorted(payload.datasets()), wh)
-        docs = execute_payload(payload, staged)
+        staged = fetch_to_staging(sorted(payload.datasets()), wh, wh.manifest())
+        docs = execute_payload(payload, staged, DatasetCache())
         assert len(docs) == 2  # welch + contingency
         welch_doc = docs[0]
         assert welch_doc.statistic == "get_welch_ttest"
@@ -163,8 +183,8 @@ class TestExecutePayload:
     def test_sami_power_has_four_results(self, domain_root):
         wh = _staged_root(domain_root)
         payload = parse_payload(json.dumps(sami_payload()))
-        staged = fetch_to_staging(sorted(payload.datasets()), wh)
-        docs = execute_payload(payload, staged)
+        staged = fetch_to_staging(sorted(payload.datasets()), wh, wh.manifest())
+        docs = execute_payload(payload, staged, DatasetCache())
         power_doc = next(d for d in docs if d.statistic == "get_welch_power")
         assert len(power_doc.results) == 4
         assert all(r["kind"] == "welch_power" for r in power_doc.results)
@@ -172,8 +192,8 @@ class TestExecutePayload:
     def test_provenance_hash_matches_staged_bytes(self, domain_root):
         wh = _staged_root(domain_root)
         payload = parse_payload(json.dumps(jw_payload()))
-        staged = fetch_to_staging(sorted(payload.datasets()), wh)
-        docs = execute_payload(payload, staged)
+        staged = fetch_to_staging(sorted(payload.datasets()), wh, wh.manifest())
+        docs = execute_payload(payload, staged, DatasetCache())
         staged_hash = sha256_file(staged.staged["jw_fall23_usage"])
         assert docs[0].dataset["sha256"] == staged_hash
         assert docs[0].dataset["sha256"] == wh.manifest()["jw_fall23_usage"]["sha256"]
@@ -207,8 +227,8 @@ class TestExecutePayload:
                 }
             )
         )
-        staged = fetch_to_staging(["flat"], wh)
-        (doc,) = execute_payload(payload, staged)
+        staged = fetch_to_staging(["flat"], wh, wh.manifest())
+        (doc,) = execute_payload(payload, staged, DatasetCache())
         assert doc.results[0]["error"]["kind"] == "degenerate_data"
         assert doc.results[1]["kind"] == "welch_ttest"
         assert doc.has_errors()
@@ -218,8 +238,8 @@ class TestExecutePayload:
         payload = parse_payload(json.dumps(sami_payload()))
 
         def run_once():
-            staged = fetch_to_staging(sorted(payload.datasets()), wh)
-            docs = execute_payload(payload, staged)
+            staged = fetch_to_staging(sorted(payload.datasets()), wh, wh.manifest())
+            docs = execute_payload(payload, staged, DatasetCache())
             out = [d.to_dict() for d in docs]
             for d in out:
                 d.pop("run_id")
@@ -410,15 +430,19 @@ class TestSharedViews:
 
     def test_shared_documents_equal_separate_ones(self, tmp_path):
         wh = _staged_root(build_root(tmp_path / "root", domains=("xyz",)))
-        staged = fetch_to_staging([XYZ], wh)
+        staged = fetch_to_staging([XYZ], wh, wh.manifest())
         requests = _requests(XYZ, "used_xyz", XYZ_DEPENDENTS)
-        shared = execute_payload(parse_payload(json.dumps(_payload("a", requests))), staged)
+        shared = execute_payload(
+            parse_payload(json.dumps(_payload("a", requests))), staged, DatasetCache()
+        )
         separate = []
         for i, request in enumerate(requests):
             # one payload per request, each with a fresh dataset cache
             doc = _payload("a", [request])
             doc["analyses"][0]["result_file"] = f"a_{i}"
-            separate.extend(execute_payload(parse_payload(json.dumps(doc)), staged))
+            separate.extend(
+                execute_payload(parse_payload(json.dumps(doc)), staged, DatasetCache())
+            )
         assert _documents(shared) == _documents(separate)
 
     def test_failed_split_gives_every_request_the_same_error(self, tmp_path, derived):
@@ -436,7 +460,8 @@ class TestSharedViews:
         # unvalidated, so a categorical dependent reaches the split
         analyses = _requests("d", "grp", ["score"]) + _requests("d", "used", ["label"])
         payload = parse_payload(json.dumps(_payload("t", analyses)))
-        docs = execute_payload(payload, fetch_to_staging(["d"], wh))
+        staged = fetch_to_staging(["d"], wh, wh.manifest())
+        docs = execute_payload(payload, staged, DatasetCache())
         n = len(GROUPED_STATISTICS)
         three_levels = {json.dumps(d.results) for d in docs[:n]}
         not_numeric = {json.dumps(d.results) for d in docs[n:]}

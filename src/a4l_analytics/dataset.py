@@ -12,7 +12,14 @@ decides only whether its bytes must be read and hashed again (see
 Each version is parsed once per warehouse: its typed columns are kept in
 ``columns/<sha256>.marshal`` beside the CSV and loaded from there after.
 The same file keeps the version's result entries (see ``DatasetCache``),
-so each is computed once per version and package source.
+so each is computed once per version and package source. The file is one
+``marshal`` object, ``(tag, row_count, ((name, kind, crc32, blob), ...),
+entries_tag, entries)``, where each ``blob`` is the ``marshal`` bytes of
+one column's cells and ``crc32`` their ``zlib.crc32``. A load decodes
+the outer object and checks each blob's checksum, but decodes no cell: a
+column decodes its blob when its cells are first read (late
+materialization), so a run served from stored entries decodes only the
+columns it groups by, and ``validate`` decodes none.
 ``marshal`` is no safer than ``pickle`` on hostile bytes; the warehouse
 is written only by the pipeline and trusted as its manifest is.
 """
@@ -28,6 +35,7 @@ import os
 import re
 import sys
 import uuid
+import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -54,28 +62,75 @@ _BOOL_TOKENS = {
 }
 
 
-@dataclass(frozen=True)
+# The text of each boolean cell, as Column.rendered gives it.
+_BOOLEAN_TEXT = {True: "true", False: "false", None: None}
+
+
 class Column:
-    name: str
-    kind: str
-    cells: tuple
+    """One typed column of a dataset: its name, its kind and one cell per
+    row (None for a missing cell).
+
+    A column built from its cells holds them, and ``blob`` is None. A
+    column read from a column file (``stored``) holds ``blob``, the
+    ``marshal`` bytes its cells were kept as, and decodes ``cells`` on
+    their first read, checking that they are a tuple of one cell per
+    row. It is written back as the same blob, so a column never read is
+    never decoded. Equality and ``repr`` see the cells, so they decode
+    them.
+    """
+
+    def __init__(self, name: str, kind: str, cells: tuple) -> None:
+        self.name = name
+        self.kind = kind
+        # set in the instance, so the cached_property below never runs
+        self.cells = cells
+        self.blob: Optional[bytes] = None
+
+    @classmethod
+    def stored(cls, name: str, kind: str, blob: bytes, row_count: int) -> "Column":
+        """The column whose cells are the ``row_count`` cells that
+        ``blob`` holds, decoded on first read."""
+        col = cls.__new__(cls)
+        col.name, col.kind, col.blob, col._row_count = name, kind, blob, row_count
+        return col
+
+    @functools.cached_property
+    def cells(self) -> tuple:
+        cells = marshal.loads(self.blob)
+        if type(cells) is not tuple or len(cells) != self._row_count:
+            raise DatasetError(
+                f"column {self.name!r}: stored cells are not {self._row_count} cells"
+            )
+        return cells
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Column):
+            return NotImplemented
+        return (self.name, self.kind, self.cells) == (other.name, other.kind, other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.kind, self.cells))
+
+    def __repr__(self) -> str:
+        return f"Column(name={self.name!r}, kind={self.kind!r}, cells={self.cells!r})"
 
     def rendered(self) -> List[Optional[str]]:
         """Cells as strings (booleans become 'true'/'false')."""
-        out: List[Optional[str]] = []
-        for c in self.cells:
-            if c is None:
-                out.append(None)
-            elif self.kind == KIND_BOOLEAN:
-                out.append("true" if c else "false")
-            else:
-                out.append(str(c))
-        return out
+        if self.kind == KIND_CATEGORICAL:
+            # categorical cells are already str or None
+            return list(self.cells)
+        if self.kind == KIND_BOOLEAN:
+            return list(map(_BOOLEAN_TEXT.__getitem__, self.cells))
+        return [None if c is None else str(c) for c in self.cells]
 
 
 @dataclass(frozen=True)
 class TabularDataset:
     """A parsed dataset.
+
+    A dataset loaded from its column file holds columns whose cells are
+    decoded on first read (see ``Column``); its name, version, row count
+    and column kinds never decode a cell.
 
     ``views`` holds what statistics derive from the columns (the runner
     keeps its group indexes, splits and result entries there), so each
@@ -273,9 +328,11 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
 # serving the old typing. Result entries need no bump: they carry the
 # source fingerprint of the code that computed them. Which of load_csv's
 # two parses reads a text changes nothing here: both give the same
-# columns for the same bytes.
+# columns for the same bytes. Format 3 keeps each column's cells as a
+# marshal blob of their own with its crc32, so a load decodes no cell and
+# a flipped bit in a blob is caught before any of its cells is served.
 COLUMNS_DIR = "columns"
-_COLUMNS_FORMAT = 2
+_COLUMNS_FORMAT = 3
 _COLUMNS_TAG = ("a4l-columns", _COLUMNS_FORMAT, marshal.version, sys.version_info[:2])
 
 # The key of ``TabularDataset.views`` that holds the dataset's result
@@ -324,25 +381,44 @@ def _entry_key(key) -> bool:
     )
 
 
+def _tuple_length(blob: bytes) -> Optional[int]:
+    """The length of the tuple ``blob`` holds, read from its ``marshal``
+    header (a type code, with or without the reference flag 0x80, then
+    the length), or None when ``blob`` does not start as a tuple. The
+    column file's tag names the marshal version, so the header is one
+    this interpreter writes."""
+    code = blob[0] & 0x7F if blob else None
+    if code == 0x29:  # small tuple: a one-byte length
+        return blob[1] if len(blob) > 1 else None
+    if code == 0x28:  # tuple: a four-byte little-endian length
+        return int.from_bytes(blob[1:5], "little") if len(blob) > 4 else None
+    return None
+
+
 def _load_columns(target: Path, name: str, sha256: str) -> Optional[TabularDataset]:
     """The dataset kept in the column file ``target``, or None when the
     file is missing, unreadable or not one this interpreter wrote.
 
-    Its result entries go into ``views`` only when the package source
-    that computed them is this one's and they are well formed; otherwise
-    the columns are kept and the entries dropped.
+    Only the file's outer object is decoded: each column keeps its blob,
+    checked against its crc32 and to hold one cell per row, and decodes
+    it when its cells are first read (``Column.stored``). Its result
+    entries go into ``views`` only when the package source that computed
+    them is this one's and they are well formed; otherwise the columns
+    are kept and the entries dropped.
     """
     try:
-        tag, row_count, columns, entries_tag, entries = marshal.loads(target.read_bytes())
+        tag, row_count, stored, entries_tag, entries = marshal.loads(target.read_bytes())
         if tag != _COLUMNS_TAG or type(row_count) is not int:
             return None
-        columns = tuple(Column(*col) for col in columns)
+        columns = []
+        for col_name, kind, crc, blob in stored:
+            # crc32 raises TypeError for a blob that is not bytes
+            if kind not in _KINDS or zlib.crc32(blob) != crc or _tuple_length(blob) != row_count:
+                return None
+            columns.append(Column.stored(col_name, kind, blob, row_count))
     except (OSError, EOFError, ValueError, TypeError):
         return None
-    for col in columns:
-        if col.kind not in _KINDS or type(col.cells) is not tuple or len(col.cells) != row_count:
-            return None
-    ds = TabularDataset(name=name, version=sha256, columns=columns, row_count=row_count)
+    ds = TabularDataset(name=name, version=sha256, columns=tuple(columns), row_count=row_count)
     if (
         type(entries) is dict
         and entries
@@ -356,12 +432,19 @@ def _load_columns(target: Path, name: str, sha256: str) -> Optional[TabularDatas
 
 def _store_columns(target: Path, ds: TabularDataset, entries: dict) -> None:
     """Write ``ds``'s columns and the result ``entries`` to ``target``; a
-    warehouse that cannot be written still runs, without the file."""
-    columns = tuple((c.name, c.kind, c.cells) for c in ds.columns)
+    warehouse that cannot be written still runs, without the file.
+
+    A column read from a column file is written as the blob it was read
+    as, so its cells are not encoded again, nor decoded if never read.
+    """
+    columns = []
+    for c in ds.columns:
+        blob = c.blob if c.blob is not None else marshal.dumps(c.cells)
+        columns.append((c.name, c.kind, zlib.crc32(blob), blob))
     entries_tag = source_fingerprint() if entries else None
     if entries_tag is None:
         entries = {}
-    data = marshal.dumps((_COLUMNS_TAG, ds.row_count, columns, entries_tag, entries))
+    data = marshal.dumps((_COLUMNS_TAG, ds.row_count, tuple(columns), entries_tag, entries))
     try:
         target.parent.mkdir(exist_ok=True)
         atomic_write(target, data)
@@ -376,12 +459,15 @@ class DatasetCache:
     execution share a load; it is never shared between invocations.
     The key's sha256 is the manifest's. A dataset is loaded from its
     column file when there is one, with the result entries that file
-    holds, and is otherwise parsed.
+    holds, and is otherwise parsed. A load decodes no cell: each column
+    decodes its own when they are first read, so a command decodes only
+    the columns its statistics read.
 
     A version's file is written at most once per cache, when the version
     leaves it (``release``) or the cache is closed (``close``, or the end
     of a ``with`` block), and only when the version was parsed or its
-    result entries grew. A parsed version is written only when the bytes
+    result entries grew; a column loaded from the file goes back as the
+    blob it was read as. A parsed version is written only when the bytes
     parsed hash to the key, so a dataset's version is always the hash of
     the bytes its columns came from. A cache that is never closed writes
     nothing.

@@ -8,8 +8,10 @@ CSV and a payload file. All data is generated deterministically.
 import csv
 import io
 import json
+import marshal
 import random
 import sys
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -335,6 +337,34 @@ def hostile_payloads():
             '"payload_version": 1', '"payload_version": ' + "[" * 100_000 + "]" * 100_000
         ),
     }
+
+
+def read_column_file(data):
+    """The parts of the column file ``data``: (tag, row_count, columns,
+    entries_tag, entries), each column as (name, kind, cells), once each
+    column's blob matches the crc32 stored beside it."""
+    tag, row_count, stored, entries_tag, entries = marshal.loads(data)
+    columns = []
+    for name, kind, crc, blob in stored:
+        assert zlib.crc32(blob) == crc, f"column {name!r}: crc32 mismatch"
+        columns.append((name, kind, marshal.loads(blob)))
+    return tag, row_count, tuple(columns), entries_tag, entries
+
+
+def column_file_bytes(tag, row_count, columns, entries_tag=None, entries=None):
+    """A column file of the parts ``read_column_file`` returns: each
+    (name, kind, cells) column is stored as the marshal blob of its cells
+    and that blob's crc32."""
+    stored = []
+    for name, kind, cells in columns:
+        blob = marshal.dumps(cells)
+        stored.append((name, kind, zlib.crc32(blob), blob))
+    return marshal.dumps((tag, row_count, tuple(stored), entries_tag, entries))
+
+
+def column_blobs(data):
+    """Each column's blob in the column file ``data``, by column name."""
+    return {name: blob for name, _, _, blob in marshal.loads(data)[2]}
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import json
 import marshal
 import os
 import random
+import struct
 import sys
 
 import pytest
@@ -14,6 +15,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import oracles
 from a4l_analytics import dataset
 from a4l_analytics.dataset import (
+    KIND_BOOLEAN,
+    KIND_CATEGORICAL,
+    KIND_NUMERIC,
+    Column,
     DatasetCache,
     Warehouse,
     atomic_write,
@@ -23,6 +28,7 @@ from a4l_analytics.dataset import (
     sha256_file,
 )
 from a4l_analytics.errors import DatasetError, ManifestError, UnknownDatasetError
+from conftest import column_blobs, column_file_bytes, read_column_file
 
 
 def write(tmp_path, name, text):
@@ -400,6 +406,7 @@ class TestColumnFile:
             "foreign_tag",
             "other_format",
             "format_1",
+            "format_2",
             "row_count_disagrees",
             "unknown_kind",
             "random_bytes",
@@ -411,23 +418,25 @@ class TestColumnFile:
     ):
         path, sha, target = self._primed(tmp_path)
         data = target.read_bytes()
-        tag, row_count, columns, entries_tag, entries = marshal.loads(data)
+        tag, row_count, columns, entries_tag, entries = read_column_file(data)
         rest = (entries_tag, entries)
         target.write_bytes(
             {
                 "truncated": data[: len(data) // 2],
-                "foreign_tag": marshal.dumps(
-                    (("a4l-columns", 2, (2, 7)), row_count, columns, *rest)
+                "foreign_tag": column_file_bytes(
+                    ("a4l-columns", 2, (2, 7)), row_count, columns, *rest
                 ),
                 # the same tag but for its format number: older typing rules
-                "other_format": marshal.dumps(
-                    ((tag[0], tag[1] + 1, *tag[2:]), row_count, columns, *rest)
+                "other_format": column_file_bytes(
+                    (tag[0], tag[1] + 1, *tag[2:]), row_count, columns, *rest
                 ),
                 # the layout of format 1: no result entries
                 "format_1": marshal.dumps(((tag[0], 1, *tag[2:]), row_count, columns)),
-                "row_count_disagrees": marshal.dumps((tag, row_count + 1, columns, *rest)),
-                "unknown_kind": marshal.dumps(
-                    (tag, row_count, (("a", "text", (None,) * row_count),), *rest)
+                # the layout of format 2: each column's cells decoded in place
+                "format_2": marshal.dumps(((tag[0], 2, *tag[2:]), row_count, columns, *rest)),
+                "row_count_disagrees": column_file_bytes(tag, row_count + 1, columns, *rest),
+                "unknown_kind": column_file_bytes(
+                    tag, row_count, (("a", "text", (None,) * row_count),), *rest
                 ),
                 "random_bytes": random.Random(7).randbytes(len(data)),
                 "empty": b"",
@@ -439,6 +448,31 @@ class TestColumnFile:
         assert _columns(ds) == _columns(load_csv(path))
         _loaded("d", sha, path)
         assert parses == ["d"]  # the rewritten file serves the next load
+
+    def test_flipped_bit_in_a_numeric_blob_is_parsed_once_and_rewritten(
+        self, tmp_path, parses
+    ):
+        path, sha, target = self._primed(tmp_path)
+        data = bytearray(target.read_bytes())
+        blob = column_blobs(bytes(data))["score"]
+        # the lowest mantissa byte of the score 1.5, inside its blob
+        at = data.index(blob) + blob.index(struct.pack("<d", 1.5))
+        data[at] ^= 1
+        target.write_bytes(bytes(data))
+        parses.clear()
+        ds = _loaded("d", sha, path)
+        assert parses == ["d"]
+        assert _columns(ds) == _columns(load_csv(path))
+        assert ds.column("score").cells == (1.5, -0.0, None)
+        cells = read_column_file(target.read_bytes())[2]
+        assert repr(cells) == repr(tuple((c.name, c.kind, c.cells) for c in ds.columns))
+        _loaded("d", sha, path)
+        assert parses == ["d"]  # the rewritten file serves the next load
+
+    def test_row_count_disagreeing_with_the_decoded_cells_raises_on_first_read(self):
+        col = Column.stored("a", KIND_NUMERIC, marshal.dumps((1.0, None)), 3)
+        with pytest.raises(DatasetError, match="column 'a': stored cells are not 3 cells"):
+            col.cells
 
     def test_unwritable_columns_still_load(self, tmp_path, parses, monkeypatch):
         def failing_write(target, data):
@@ -460,6 +494,50 @@ class TestColumnFile:
         assert ds.version == sha256_file(path) != sha
         assert not columns_path(path, sha).parent.exists()
 
+
+
+def _rendered_cell_by_cell(col):
+    """``Column.rendered`` as it was first defined, one cell at a time."""
+    out = []
+    for c in col.cells:
+        if c is None:
+            out.append(None)
+        elif col.kind == KIND_BOOLEAN:
+            out.append("true" if c else "false")
+        else:
+            out.append(str(c))
+    return out
+
+
+# A kind and cells of that kind, as load_csv types them.
+KIND_AND_CELLS = st.one_of(
+    st.tuples(
+        st.just(KIND_NUMERIC),
+        st.lists(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    st.tuples(st.just(KIND_BOOLEAN), st.lists(st.none() | st.booleans())),
+    st.tuples(st.just(KIND_CATEGORICAL), st.lists(st.none() | st.text(min_size=1))),
+)
+
+
+class TestColumn:
+    @given(kind_and_cells=KIND_AND_CELLS)
+    @settings(max_examples=300, deadline=None)
+    def test_rendered_equals_the_cell_by_cell_definition(self, kind_and_cells):
+        kind, cells = kind_and_cells
+        built = Column("c", kind, tuple(cells))
+        stored = Column.stored("c", kind, marshal.dumps(tuple(cells)), len(cells))
+        assert built.rendered() == _rendered_cell_by_cell(built)
+        assert stored.rendered() == _rendered_cell_by_cell(built)
+
+    def test_stored_column_equals_and_reprs_as_its_cells(self):
+        built = Column("c", KIND_NUMERIC, (1.5, None, -0.0))
+        stored = Column.stored("c", KIND_NUMERIC, marshal.dumps(built.cells), 3)
+        assert stored == built and hash(stored) == hash(built)
+        assert repr(stored) == repr(built) == (
+            "Column(name='c', kind='numeric', cells=(1.5, None, -0.0))"
+        )
+        assert stored != Column("c", KIND_NUMERIC, (1.5, None, 0.5))
 
 
 class TestWarehouse:

@@ -1,7 +1,6 @@
 """Payload execution, group splitting, result documents."""
 
 import json
-import marshal
 import shutil
 from dataclasses import fields
 
@@ -35,7 +34,14 @@ from a4l_analytics.stats import (
     PowerResult,
     WelchResult,
 )
-from conftest import build_root, jw_payload, sami_payload
+from conftest import (
+    build_root,
+    column_blobs,
+    column_file_bytes,
+    jw_payload,
+    read_column_file,
+    sami_payload,
+)
 from schema_check import RESULT_SCHEMA, strict_loads
 
 RESULT_TYPES = [
@@ -626,7 +632,7 @@ class TestStoredEntries:
         first = self._texts(root)
         for path in self._files(root):
             data = path.read_bytes()
-            tag, row_count, columns, entries_tag, entries = marshal.loads(data)
+            tag, row_count, columns, entries_tag, entries = read_column_file(data)
             key, entry = next(iter(entries.items()))
             spoiled = {
                 "foreign_tag": ("f" * 64, entries),
@@ -637,7 +643,7 @@ class TestStoredEntries:
             if spoiled is None:
                 path.write_bytes(data[:-5])
             else:
-                path.write_bytes(marshal.dumps((tag, row_count, columns, *spoiled)))
+                path.write_bytes(column_file_bytes(tag, row_count, columns, *spoiled))
         parses.clear()
         assert self._run(root) == 4
         assert derived["kernels"] == made
@@ -656,13 +662,101 @@ class TestStoredEntries:
         files = self._files(root)
         assert len(files) == 2
         for path in files:
-            _, _, _, entries_tag, entries = marshal.loads(path.read_bytes())
+            _, _, _, entries_tag, entries = read_column_file(path.read_bytes())
             assert (entries_tag, entries) == (None, {})
         # a version loaded with its entries is not written again
         assert self._run(root) == 4
         stored = {path: path.read_bytes() for path in self._files(root)}
         assert main(["--root", str(root), "validate", probe]) == 0
         assert {path: path.read_bytes() for path in self._files(root)} == stored
+
+    @staticmethod
+    def _decoding(monkeypatch):
+        """The size of each input of dataset.marshal.loads from now on."""
+        sizes = []
+        loads = dataset.marshal.loads
+
+        def recording(data):
+            sizes.append(len(data))
+            return loads(data)
+
+        monkeypatch.setattr(dataset.marshal, "loads", recording)
+        return sizes
+
+    def test_run_from_stored_entries_decodes_only_the_columns_it_groups_by(
+        self, tmp_path, derived, capsys, monkeypatch
+    ):
+        root = self._root(tmp_path)
+        assert self._run(root) == 4
+        files = [path.read_bytes() for path in self._files(root)]
+        # the independents of the grouped requests, xyz's used_xyz and
+        # d's used; the contingency table of used_xyz and region needs
+        # no split, so its stored entry decodes neither of its columns
+        grouped = [
+            blob
+            for data in files
+            for name, blob in column_blobs(data).items()
+            if name in ("used_xyz", "used")
+        ]
+        assert len(grouped) == 2
+        self._clear(derived)
+        sizes = self._decoding(monkeypatch)
+        assert self._run(root) == 4
+        assert derived["kernels"] == {}
+        # one decode of each column file as a whole, then one of each
+        # independent's blob
+        assert sorted(sizes) == sorted(map(len, files + grouped))
+
+    def test_validate_decodes_no_column(self, tmp_path, capsys, monkeypatch):
+        root = self._root(tmp_path)
+        loaded = []
+        get = DatasetCache.get
+
+        def keeping(cache, name, sha256, path):
+            loaded.append(get(cache, name, sha256, path))
+            return loaded[-1]
+
+        monkeypatch.setattr(DatasetCache, "get", keeping)
+        sizes = self._decoding(monkeypatch)
+        assert main(["--root", str(root), "validate", str(root / "probe.json")]) == 0
+        # one decode of each column file, of the file as a whole
+        assert sorted(sizes) == sorted(path.stat().st_size for path in self._files(root))
+        blobs = [
+            blob
+            for path in self._files(root)
+            for blob in column_blobs(path.read_bytes()).values()
+        ]
+        sizes.clear()
+        # each column still decodes its own blob when its cells are read
+        for ds in loaded:
+            for col in ds.columns:
+                col.cells
+        assert sorted(sizes) == sorted(map(len, blobs))
+
+    def test_new_entries_write_back_each_stored_blob_byte_for_byte(
+        self, tmp_path, derived, capsys, monkeypatch
+    ):
+        root = self._root(tmp_path)
+        sha = sha256_file(root / "store" / f"{XYZ}.csv")
+        path = root / "warehouse" / "columns" / f"{sha}.marshal"
+        before = path.read_bytes()
+        dumped = []
+        dumps = dataset.marshal.dumps
+
+        def recording(value):
+            dumped.append(value)
+            return dumps(value)
+
+        monkeypatch.setattr(dataset.marshal, "dumps", recording)
+        self._clear(derived)
+        # the probe adds the contingency table's entry to xyz's file
+        assert self._run(root) == 4
+        assert derived["kernels"] == {"contingency": 1}
+        after = path.read_bytes()
+        assert len(read_column_file(after)[4]) == len(read_column_file(before)[4]) + 1
+        assert column_blobs(after) == column_blobs(before)
+        # one encode, of the file's outer object: no cell is encoded again
+        assert [value[0] for value in dumped] == [dataset._COLUMNS_TAG]
 
     def test_unwritable_columns_still_run_ok(self, tmp_path, derived, capsys):
         root = self._root(tmp_path)
@@ -683,7 +777,7 @@ class TestStoredEntries:
         assert self._run(root) == 4
         store = root / "store" / f"{XYZ}.csv"
         old = root / "warehouse" / "columns" / f"{sha256_file(store)}.marshal"
-        assert marshal.loads(old.read_bytes())[4]
+        assert read_column_file(old.read_bytes())[4]
         text = store.read_text(encoding="utf-8")
         store.write_text(text + text.splitlines()[1] + "\n", encoding="utf-8")
         assert run_cycle(root).selected_payloads == ["a.json"]

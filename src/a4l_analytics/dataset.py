@@ -11,15 +11,19 @@ decides only whether its bytes must be read and hashed again (see
 
 Each version is parsed once per warehouse: its typed columns are kept in
 ``columns/<sha256>.marshal`` beside the CSV and loaded from there after.
-The same file keeps the version's result entries (see ``DatasetCache``),
-so each is computed once per version and package source. The file is one
-``marshal`` object, ``(tag, row_count, ((name, kind, crc32, blob), ...),
-entries_tag, entries)``, where each ``blob`` is the ``marshal`` bytes of
-one column's cells and ``crc32`` their ``zlib.crc32``. A load decodes
-the outer object and checks each blob's checksum, but decodes no cell: a
-column decodes its blob when its cells are first read (late
-materialization), so a run served from stored entries decodes only the
-columns it groups by, and ``validate`` decodes none.
+The same file keeps the version's result entries, each with its JSON
+text, and the two labels of each column grouped by (see
+``DatasetCache``), so each is computed, and each entry encoded, once per
+version and package source. The file is one ``marshal`` object,
+``(tag, row_count, ((name, kind, crc32, blob), ...), entries_tag,
+entries_crc32, entries_blob)``, where each ``blob`` is the ``marshal``
+bytes of one column's cells and ``entries_blob`` those of the entries
+and labels. A load decodes the outer object and the entries blob, once
+it matches its crc32, but decodes no cell and checksums no column: a
+column checks its blob's crc32 and decodes it when its cells are first
+read (late materialization), so a run served from stored entries decodes
+no column, and neither does ``validate``. A blob that fails its check
+is replaced by a parse of the version's CSV.
 ``marshal`` is no safer than ``pickle`` on hostile bytes; the warehouse
 is written only by the pipeline and trusted as its manifest is.
 """
@@ -40,7 +44,17 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .errors import DatasetError, ManifestError, UnknownDatasetError
 
@@ -70,13 +84,16 @@ class Column:
     """One typed column of a dataset: its name, its kind and one cell per
     row (None for a missing cell).
 
-    A column built from its cells holds them, and ``blob`` is None. A
-    column read from a column file (``stored``) holds ``blob``, the
-    ``marshal`` bytes its cells were kept as, and decodes ``cells`` on
-    their first read, checking that they are a tuple of one cell per
-    row. It is written back as the same blob, so a column never read is
-    never decoded. Equality and ``repr`` see the cells, so they decode
-    them.
+    A column built from its cells holds them, and ``blob`` and ``crc``
+    are None. A column read from a column file (``stored``) holds
+    ``blob``, the ``marshal`` bytes its cells were kept as, and ``crc``,
+    the crc32 stored beside it. It decodes ``cells`` on their first
+    read, once the blob matches its crc32 and holds a tuple of one cell
+    per row; otherwise the cells come from ``parse()``, a parse of the
+    version's CSV, and the column drops its blob, so it is written from
+    its cells. It is written back as the same blob and crc32, so a
+    column never read is never decoded nor checksummed. Equality and
+    ``repr`` see the cells, so they decode them.
     """
 
     def __init__(self, name: str, kind: str, cells: tuple) -> None:
@@ -85,22 +102,40 @@ class Column:
         # set in the instance, so the cached_property below never runs
         self.cells = cells
         self.blob: Optional[bytes] = None
+        self.crc: Optional[int] = None
 
     @classmethod
-    def stored(cls, name: str, kind: str, blob: bytes, row_count: int) -> "Column":
+    def stored(
+        cls,
+        name: str,
+        kind: str,
+        crc: int,
+        blob: bytes,
+        row_count: int,
+        parse: Optional[Callable[[], "TabularDataset"]],
+    ) -> "Column":
         """The column whose cells are the ``row_count`` cells that
-        ``blob`` holds, decoded on first read."""
+        ``blob`` holds, checked against ``crc`` and decoded on first
+        read. ``parse`` gives the version's dataset when the check
+        fails; with None, a failed check raises DatasetError."""
         col = cls.__new__(cls)
-        col.name, col.kind, col.blob, col._row_count = name, kind, blob, row_count
+        col.name, col.kind, col.crc, col.blob = name, kind, crc, blob
+        col._row_count, col._parse = row_count, parse
         return col
 
     @functools.cached_property
     def cells(self) -> tuple:
-        cells = marshal.loads(self.blob)
-        if type(cells) is not tuple or len(cells) != self._row_count:
+        n = self._row_count
+        if zlib.crc32(self.blob) == self.crc:
+            cells = marshal.loads(self.blob)
+            if type(cells) is tuple and len(cells) == n:
+                return cells
+        if self._parse is None:
             raise DatasetError(
-                f"column {self.name!r}: stored cells are not {self._row_count} cells"
+                f"column {self.name!r}: stored cells are not {n} cells matching their crc32"
             )
+        cells = self._parse().column(self.name).cells
+        self.blob = self.crc = None
         return cells
 
     def __eq__(self, other) -> bool:
@@ -133,9 +168,10 @@ class TabularDataset:
     and column kinds never decode a cell.
 
     ``views`` holds what statistics derive from the columns (the runner
-    keeps its group indexes, splits and result entries there), so each
-    is built once while the dataset is cached. The result entries come
-    from the column file and go back to it; the cache clears ``views``
+    keeps its group indexes, group labels, splits and result entries
+    there), so each is built once while the dataset is cached. The
+    result entries and group labels come from the column file and go
+    back to it; the cache clears ``views``
     when the dataset leaves it. It takes no part in equality.
     """
 
@@ -325,20 +361,25 @@ def load_csv(path: Union[str, Path], name: Optional[str] = None) -> TabularDatas
 # load_csv's output for the same bytes changes (a kind rule, a cell
 # conversion, the column layout) or the file's layout changes: the files
 # are keyed by the bytes' hash alone, so an old file would otherwise keep
-# serving the old typing. Result entries need no bump: they carry the
-# source fingerprint of the code that computed them. Which of load_csv's
-# two parses reads a text changes nothing here: both give the same
-# columns for the same bytes. Format 3 keeps each column's cells as a
-# marshal blob of their own with its crc32, so a load decodes no cell and
-# a flipped bit in a blob is caught before any of its cells is served.
+# serving the old typing. Result entries and labels need no bump: they
+# carry the source fingerprint of the code that computed them. Which of
+# load_csv's two parses reads a text changes nothing here: both give the
+# same columns for the same bytes. Format 3 kept each column's cells as a
+# marshal blob of their own with its crc32, so a load decodes no cell.
+# Format 4 checks a column's crc32 when its blob is first decoded, not at
+# load, and keeps the entries, each with its JSON text, and the labels in
+# one blob with its own crc32, checked at load before it is decoded.
 COLUMNS_DIR = "columns"
-_COLUMNS_FORMAT = 3
+_COLUMNS_FORMAT = 4
 _COLUMNS_TAG = ("a4l-columns", _COLUMNS_FORMAT, marshal.version, sys.version_info[:2])
 
-# The key of ``TabularDataset.views`` that holds the dataset's result
-# entries (see ``runner._execute_request``); no column name or
-# (independent, dependent) pair equals it.
+# The keys of ``TabularDataset.views`` that hold the dataset's result
+# entries, each key's (entry, text) pair (see ``runner._execute_request``),
+# and the (level1, level2) labels of each independent column grouped by,
+# or None where it cannot be split (see ``runner._group_index``); no
+# column name or (independent, dependent) pair equals either.
 ENTRIES = object()
+LABELS = object()
 
 _PACKAGE_DIR = Path(__file__).parent
 
@@ -381,6 +422,16 @@ def _entry_key(key) -> bool:
     )
 
 
+def _typed_pair(value, kinds: tuple) -> bool:
+    """Whether ``value`` is a pair whose parts have the types ``kinds``."""
+    return (
+        type(value) is tuple
+        and len(value) == 2
+        and type(value[0]) is kinds[0]
+        and type(value[1]) is kinds[1]
+    )
+
+
 def _tuple_length(blob: bytes) -> Optional[int]:
     """The length of the tuple ``blob`` holds, read from its ``marshal``
     header (a type code, with or without the reference flag 0x80, then
@@ -395,61 +446,109 @@ def _tuple_length(blob: bytes) -> Optional[int]:
     return None
 
 
-def _load_columns(target: Path, name: str, sha256: str) -> Optional[TabularDataset]:
+def _stored_views(crc, blob) -> Optional[Tuple[dict, dict]]:
+    """The result entries and labels that ``blob`` holds, or None when
+    it fails its crc32 or they are not well formed: each entry key maps
+    to an (entry dict, text) pair, and each independent column name to
+    its two labels or None."""
+    try:
+        if zlib.crc32(blob) != crc:
+            return None
+        entries, labels = marshal.loads(blob)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if (
+        type(entries) is dict
+        and entries
+        and all(_entry_key(k) and _typed_pair(v, (dict, str)) for k, v in entries.items())
+        and type(labels) is dict
+        and all(
+            type(k) is str and (v is None or _typed_pair(v, (str, str)))
+            for k, v in labels.items()
+        )
+    ):
+        return entries, labels
+    return None
+
+
+def _load_columns(
+    target: Path, name: str, sha256: str, parse: Optional[Callable[[], TabularDataset]]
+) -> Optional[TabularDataset]:
     """The dataset kept in the column file ``target``, or None when the
     file is missing, unreadable or not one this interpreter wrote.
 
     Only the file's outer object is decoded: each column keeps its blob,
-    checked against its crc32 and to hold one cell per row, and decodes
-    it when its cells are first read (``Column.stored``). Its result
-    entries go into ``views`` only when the package source that computed
-    them is this one's and they are well formed; otherwise the columns
-    are kept and the entries dropped.
+    checked here only to be bytes whose ``marshal`` header holds one
+    cell per row, and checks its crc32 and decodes it when its cells are
+    first read (``Column.stored``), falling back to ``parse`` when that
+    check fails. The result entries and labels go into ``views`` only
+    when the package source that computed them is this one's, their
+    blob matches its crc32 and they are well formed; otherwise the
+    columns are kept and they are dropped.
     """
     try:
-        tag, row_count, stored, entries_tag, entries = marshal.loads(target.read_bytes())
+        tag, row_count, stored, entries_tag, entries_crc, entries_blob = marshal.loads(
+            target.read_bytes()
+        )
         if tag != _COLUMNS_TAG or type(row_count) is not int:
             return None
         columns = []
         for col_name, kind, crc, blob in stored:
-            # crc32 raises TypeError for a blob that is not bytes
-            if kind not in _KINDS or zlib.crc32(blob) != crc or _tuple_length(blob) != row_count:
+            if kind not in _KINDS or type(blob) is not bytes or _tuple_length(blob) != row_count:
                 return None
-            columns.append(Column.stored(col_name, kind, blob, row_count))
+            columns.append(Column.stored(col_name, kind, crc, blob, row_count, parse))
     except (OSError, EOFError, ValueError, TypeError):
         return None
     ds = TabularDataset(name=name, version=sha256, columns=tuple(columns), row_count=row_count)
-    if (
-        type(entries) is dict
-        and entries
-        and entries_tag is not None
-        and entries_tag == source_fingerprint()
-        and all(_entry_key(k) and type(v) is dict for k, v in entries.items())
-    ):
-        ds.views[ENTRIES] = entries
+    if entries_tag is not None and entries_tag == source_fingerprint():
+        views = _stored_views(entries_crc, entries_blob)
+        if views is not None:
+            ds.views[ENTRIES], ds.views[LABELS] = views
     return ds
 
 
-def _store_columns(target: Path, ds: TabularDataset, entries: dict) -> None:
-    """Write ``ds``'s columns and the result ``entries`` to ``target``; a
-    warehouse that cannot be written still runs, without the file.
+def _store_columns(target: Path, ds: TabularDataset, entries: dict, labels: dict) -> None:
+    """Write ``ds``'s columns, the result ``entries`` and the ``labels``
+    to ``target``; a warehouse that cannot be written still runs,
+    without the file.
 
-    A column read from a column file is written as the blob it was read
-    as, so its cells are not encoded again, nor decoded if never read.
+    A column read from a column file is written as the blob and crc32 it
+    was read with, so its cells are neither encoded again nor, if never
+    read, decoded or checksummed. Labels are written only with entries.
     """
     columns = []
     for c in ds.columns:
-        blob = c.blob if c.blob is not None else marshal.dumps(c.cells)
-        columns.append((c.name, c.kind, zlib.crc32(blob), blob))
+        if c.blob is None:
+            blob = marshal.dumps(c.cells)
+            columns.append((c.name, c.kind, zlib.crc32(blob), blob))
+        else:
+            columns.append((c.name, c.kind, c.crc, c.blob))
     entries_tag = source_fingerprint() if entries else None
     if entries_tag is None:
-        entries = {}
-    data = marshal.dumps((_COLUMNS_TAG, ds.row_count, tuple(columns), entries_tag, entries))
+        entries, labels = {}, {}
+    entries_blob = marshal.dumps((entries, labels))
+    data = marshal.dumps(
+        (
+            _COLUMNS_TAG,
+            ds.row_count,
+            tuple(columns),
+            entries_tag,
+            zlib.crc32(entries_blob),
+            entries_blob,
+        )
+    )
     try:
         target.parent.mkdir(exist_ok=True)
         atomic_write(target, data)
     except OSError:
         pass
+
+
+def _stored_count(views: dict) -> int:
+    """The number of result entries and labels in ``views``; both only
+    grow while a dataset is cached, so an unchanged count is unchanged
+    contents."""
+    return len(views.get(ENTRIES, ())) + len(views.get(LABELS, ()))
 
 
 class DatasetCache:
@@ -458,19 +557,22 @@ class DatasetCache:
     One cache serves one cycle or one command, so validation and
     execution share a load; it is never shared between invocations.
     The key's sha256 is the manifest's. A dataset is loaded from its
-    column file when there is one, with the result entries that file
-    holds, and is otherwise parsed. A load decodes no cell: each column
-    decodes its own when they are first read, so a command decodes only
-    the columns its statistics read.
+    column file when there is one, with the result entries and labels
+    that file holds, and is otherwise parsed. A load decodes no cell and
+    checksums no column: each column checks and decodes its own blob
+    when its cells are first read, so a command decodes only the columns
+    its statistics read. When a blob fails its check, the version's CSV
+    is parsed, once per cache, and that column's cells come from the
+    parse; the parse must hash to the key, or DatasetError is raised.
 
     A version's file is written at most once per cache, when the version
     leaves it (``release``) or the cache is closed (``close``, or the end
-    of a ``with`` block), and only when the version was parsed or its
-    result entries grew; a column loaded from the file goes back as the
-    blob it was read as. A parsed version is written only when the bytes
-    parsed hash to the key, so a dataset's version is always the hash of
-    the bytes its columns came from. A cache that is never closed writes
-    nothing.
+    of a ``with`` block), and only when the version was parsed, a column
+    was replaced by a parse, or its result entries or labels grew; a
+    column loaded from the file goes back as the blob it was read as. A
+    parsed version is written only when the bytes parsed hash to the
+    key, so a dataset's version is always the hash of the bytes its
+    columns came from. A cache that is never closed writes nothing.
     """
 
     def __init__(self) -> None:
@@ -478,8 +580,11 @@ class DatasetCache:
         # without a walk of the cache
         self._datasets: Dict[str, Dict[str, TabularDataset]] = {}
         # the column file of each version this cache may write, and the
-        # number of entries it was loaded with (None after a parse)
+        # number of entries and labels it was loaded with (None after a
+        # parse)
         self._files: Dict[Tuple[str, str], Tuple[Path, Optional[int]]] = {}
+        # the parse of each loaded version a blob of which failed its check
+        self._parses: Dict[Tuple[str, str], TabularDataset] = {}
 
     def __enter__(self) -> "DatasetCache":
         return self
@@ -493,14 +598,33 @@ class DatasetCache:
         if ds is None:
             key = (name, sha256)
             target = columns_path(path, sha256)
-            ds = _load_columns(target, name, sha256)
+            parse = functools.partial(self._parse, name, sha256, path)
+            ds = _load_columns(target, name, sha256, parse)
             if ds is not None:
-                self._files[key] = (target, len(ds.views.get(ENTRIES, ())))
+                self._files[key] = (target, _stored_count(ds.views))
             else:
                 ds = load_csv(path, name=name)
                 if ds.version == sha256:
                     self._files[key] = (target, None)
             versions[sha256] = ds
+        return ds
+
+    def _parse(self, name: str, sha256: str, path: Union[str, Path]) -> TabularDataset:
+        """The parse of the loaded version ``sha256`` of ``name``, for a
+        column whose blob failed its check; made once while the version
+        is cached, and its column file is then due."""
+        key = (name, sha256)
+        ds = self._parses.get(key)
+        if ds is None:
+            ds = load_csv(path, name=name)
+            if ds.version != sha256:
+                raise DatasetError(
+                    f"{path}: a stored column of version {sha256} failed its check, "
+                    f"and the file now holds version {ds.version}"
+                )
+            if key in self._files:  # the version is still cached
+                self._parses[key] = ds
+                self._files[key] = (self._files[key][0], None)
         return ds
 
     def release(self, names: Iterable[str]) -> None:
@@ -510,14 +634,17 @@ class DatasetCache:
         for name in names:
             for sha256, ds in self._datasets.pop(name, {}).items():
                 target, loaded = self._files.pop((name, sha256), (None, 0))
-                entries = ds.views.get(ENTRIES, {})
+                self._parses.pop((name, sha256), None)
+                views = ds.views
+                count = _stored_count(views)
+                entries, labels = views.get(ENTRIES, {}), views.get(LABELS, {})
                 # The views leave with the dataset, before the write: the
                 # splits hold every numeric cell a second time, and marshal
                 # keeps a table of each object it meets that is held more
                 # than once.
-                ds.views.clear()
-                if target is not None and len(entries) != loaded:
-                    _store_columns(target, ds, entries)
+                views.clear()
+                if target is not None and count != loaded:
+                    _store_columns(target, ds, entries, labels)
 
     def close(self) -> None:
         """Drop every cached dataset, writing each column file that is due."""

@@ -13,13 +13,14 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from .dataset import (  # noqa: F401  load_csv: looked up here by callers
     ENTRIES,
     KIND_BOOLEAN,
     KIND_CATEGORICAL,
     KIND_NUMERIC,
+    LABELS,
     Column,
     DatasetCache,
     StagedRun,
@@ -46,8 +47,27 @@ RESULT_SCHEMA_VERSION = 1
 GROUPING_KINDS = (KIND_BOOLEAN, KIND_CATEGORICAL)
 
 
+# The one encoder of every written document: json.dumps(..., indent=2)
+# builds this same encoder on each call.
+_ENCODER = json.JSONEncoder(indent=2)
+
+# What follows the results key in an encoded document whose results are
+# empty; a key of the document's top level is the only text indented by
+# two spaces, so this occurs once.
+_EMPTY_RESULTS = '\n  "results": []'
+
+
 def utc_now_rfc3339() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def entry_text(entry: dict) -> str:
+    """``entry`` encoded as ``write_result`` writes it in a document's
+    results list: ``indent=2`` JSON at that list's depth, four spaces
+    deeper than at the top. Every raw newline in the encoder's output
+    is structural (one inside a string is escaped), so indenting after
+    each newline is exact."""
+    return "    " + _ENCODER.encode(entry).replace("\n", "\n    ")
 
 
 @dataclass(frozen=True)
@@ -83,6 +103,12 @@ class ResultDocument(Document):
     result_file: str
     run_id: str
     generated_at: str
+
+    # The (entry, text) pair of each entry, as ``_execute_request`` keeps
+    # it, so ``document_text`` writes the text in place of encoding the
+    # entry again. An entry of ``results`` with no pair here is encoded;
+    # a ClassVar, so not a document key.
+    encoded: ClassVar[Sequence[Tuple[dict, str]]] = ()
 
     def has_errors(self) -> bool:
         return any("error" in entry for entry in self.results)
@@ -250,13 +276,25 @@ STATISTICS: Dict[str, Statistic] = {
 def _group_index(ds: TabularDataset, independent: str) -> Optional[GroupIndex]:
     """The index of ``independent``, kept in ``ds.views`` from its first
     use; None when the column cannot be split, in which case
-    ``split_groups`` raises the error for each dependent."""
+    ``split_groups`` raises the error for each dependent.
+
+    Its labels, or None, are kept in ``ds.views[LABELS]``, which the
+    version's column file stores with the entries, so a later
+    invocation builds the index from them without decoding the column;
+    the index's masks still decode it on first use."""
     views = ds.views
     if independent not in views:
-        try:
-            views[independent] = group_index(ds, independent)
-        except StatError:
-            views[independent] = None
+        labels = views.setdefault(LABELS, {})
+        if independent in labels:
+            stored = labels[independent]
+            index = None if stored is None else GroupIndex(stored, ds.column(independent))
+        else:
+            try:
+                index = group_index(ds, independent)
+            except StatError:
+                index = None
+            labels[independent] = None if index is None else index.labels
+        views[independent] = index
     return views[independent]
 
 
@@ -298,20 +336,22 @@ def _execute_request(
     run_id: str,
     generated_at: str,
 ) -> ResultDocument:
-    # Each entry is computed once per (dataset version, statistic,
-    # independent, dependent, alternative, alpha) and package source;
-    # every later request for that key gets the same entry, error entries
-    # included. The memo is loaded with the version's column file, and
-    # the cache writes it back when the version leaves it.
+    # Each entry is computed and encoded once per (dataset version,
+    # statistic, independent, dependent, alternative, alpha) and package
+    # source; every later request for that key gets the same entry and
+    # text, error entries included, so an entry must not be changed. The
+    # memo is loaded with the version's column file, and the cache
+    # writes it back when the version leaves it.
     memo = ds.views.setdefault(ENTRIES, {})
     alternative = req.alternative.value
-    entries: List[dict] = []
+    encoded: List[Tuple[dict, str]] = []
     for dep in req.dependent:
         key = (req.statistic, req.independent, dep, alternative, req.alpha)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _entry(ds, *key)
-        entries.append(entry)
+        pair = memo.get(key)
+        if pair is None:
+            entry = _entry(ds, *key)
+            pair = memo[key] = (entry, entry_text(entry))
+        encoded.append(pair)
 
     groups: Optional[Dict[str, str]] = None
     if STATISTICS[req.statistic].compute is not None:
@@ -319,7 +359,7 @@ def _execute_request(
         if index is not None:
             groups = index.ordering()
 
-    return ResultDocument(
+    doc = ResultDocument(
         domain=payload.domain,
         statistic=req.statistic,
         dataset={"name": ds.name, "sha256": ds.version},
@@ -327,11 +367,13 @@ def _execute_request(
         alternative=alternative,
         alpha=req.alpha,
         groups=groups,
-        results=entries,
+        results=[entry for entry, _ in encoded],
         result_file=req.result_file,
         run_id=run_id,
         generated_at=generated_at,
     )
+    doc.encoded = encoded
+    return doc
 
 
 def execute_payload(
@@ -351,15 +393,34 @@ def execute_payload(
     return documents
 
 
+def document_text(doc: ResultDocument) -> str:
+    """The text of ``doc``: ``json.dumps(doc.to_dict(), indent=2)`` and a
+    newline, made of one encoded shell, the document with its results
+    empty, and each entry's text spliced into the shell's results list.
+    An entry's text is its pair's in ``doc.encoded``, and otherwise
+    ``entry_text`` of it."""
+    shell = doc.to_dict()
+    entries, shell["results"] = shell["results"], []
+    text = _ENCODER.encode(shell)
+    if not entries:
+        return text + "\n"
+    # doc.encoded keeps each of its entries alive, so an id found there
+    # is that very entry
+    known = {id(entry): stored for entry, stored in doc.encoded}
+    texts = [known[id(e)] if id(e) in known else entry_text(e) for e in entries]
+    at = text.index(_EMPTY_RESULTS) + len(_EMPTY_RESULTS) - 1
+    return text[:at] + "\n" + ",\n".join(texts) + "\n  " + text[at:] + "\n"
+
+
 def write_result(
     doc: ResultDocument, out: "OutputSpec", results_root: Union[str, Path]
 ) -> StoredResultKey:
-    """Atomically write one result document below the results root."""
+    """Atomically write one result document below the results root, as
+    ``document_text`` gives it."""
     key = StoredResultKey(
         bucket=out.bucket, prefix=out.prefix, file_name=f"{doc.result_file}.json"
     )
     target = Path(results_root).joinpath(*key.as_path().split("/"))
     target.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(doc.to_dict(), indent=2) + "\n"
-    atomic_write(target, text.encode("utf-8"))
+    atomic_write(target, document_text(doc).encode("utf-8"))
     return key

@@ -341,30 +341,70 @@ def hostile_payloads():
 
 def read_column_file(data):
     """The parts of the column file ``data``: (tag, row_count, columns,
-    entries_tag, entries), each column as (name, kind, cells), once each
-    column's blob matches the crc32 stored beside it."""
-    tag, row_count, stored, entries_tag, entries = marshal.loads(data)
+    entries_tag, entries, labels), each column as (name, kind, cells)
+    and each entry as its dict, once each column's blob and the entries
+    blob match the crc32 stored beside them and each entry's stored text
+    is ``entry_text`` of it."""
+    from a4l_analytics.runner import entry_text
+
+    tag, row_count, stored, entries_tag, entries_crc, entries_blob = marshal.loads(data)
     columns = []
     for name, kind, crc, blob in stored:
         assert zlib.crc32(blob) == crc, f"column {name!r}: crc32 mismatch"
         columns.append((name, kind, marshal.loads(blob)))
-    return tag, row_count, tuple(columns), entries_tag, entries
+    assert zlib.crc32(entries_blob) == entries_crc, "entries: crc32 mismatch"
+    pairs, labels = marshal.loads(entries_blob)
+    entries = {}
+    for key, (entry, text) in pairs.items():
+        assert text == entry_text(entry), f"entry {key!r}: text mismatch"
+        entries[key] = entry
+    return tag, row_count, tuple(columns), entries_tag, entries, labels
 
 
-def column_file_bytes(tag, row_count, columns, entries_tag=None, entries=None):
+def column_file_bytes(tag, row_count, columns, entries_tag=None, entries=None, labels=None):
     """A column file of the parts ``read_column_file`` returns: each
     (name, kind, cells) column is stored as the marshal blob of its cells
-    and that blob's crc32."""
+    and that blob's crc32, and each entry dict with its ``entry_text``.
+    Entries that are not a dict, and an entry that is not a dict, are
+    stored as given, so a test can spoil them."""
+    from a4l_analytics.runner import entry_text
+
     stored = []
     for name, kind, cells in columns:
         blob = marshal.dumps(cells)
         stored.append((name, kind, zlib.crc32(blob), blob))
-    return marshal.dumps((tag, row_count, tuple(stored), entries_tag, entries))
+    if entries is None:
+        entries = {}
+    if type(entries) is dict:
+        entries = {
+            key: (entry, entry_text(entry)) if type(entry) is dict else entry
+            for key, entry in entries.items()
+        }
+    entries_blob = marshal.dumps((entries, {} if labels is None else labels))
+    return marshal.dumps(
+        (tag, row_count, tuple(stored), entries_tag, zlib.crc32(entries_blob), entries_blob)
+    )
 
 
 def column_blobs(data):
     """Each column's blob in the column file ``data``, by column name."""
     return {name: blob for name, _, _, blob in marshal.loads(data)[2]}
+
+
+def entries_blob(data):
+    """The blob of the result entries and labels in the column file ``data``."""
+    return marshal.loads(data)[5]
+
+
+def stored_column(name, kind, cells, row_count=None):
+    """The column ``Column.stored`` makes of ``cells``' blob and crc32,
+    for ``row_count`` rows (``len(cells)`` by default), with no parse to
+    fall back to."""
+    from a4l_analytics.dataset import Column
+
+    blob = marshal.dumps(tuple(cells))
+    n = len(cells) if row_count is None else row_count
+    return Column.stored(name, kind, zlib.crc32(blob), blob, n, None)
 
 
 @pytest.fixture

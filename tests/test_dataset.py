@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import oracles
-from a4l_analytics import dataset
+from a4l_analytics import dataset, runner
 from a4l_analytics.dataset import (
     KIND_BOOLEAN,
     KIND_CATEGORICAL,
@@ -28,7 +28,7 @@ from a4l_analytics.dataset import (
     sha256_file,
 )
 from a4l_analytics.errors import DatasetError, ManifestError, UnknownDatasetError
-from conftest import column_blobs, column_file_bytes, read_column_file
+from conftest import column_blobs, column_file_bytes, read_column_file, stored_column
 
 
 def write(tmp_path, name, text):
@@ -317,7 +317,10 @@ class TestDatasetCache:
     def test_release_writes_a_dropped_version_before_it_is_freed(self, tmp_path, parses):
         d, e = write(tmp_path, "d.csv", "a\n1\n"), write(tmp_path, "e.csv", "b\n1\n")
         sha_d, sha_e = sha256_file(d), sha256_file(e)
-        entries = {("get_descriptives", "g", "a", "two_sided", 0.05): {"dependent": "a"}}
+        entry = {"dependent": "a"}
+        entries = {
+            ("get_descriptives", "g", "a", "two_sided", 0.05): (entry, runner.entry_text(entry))
+        }
         cache = DatasetCache()
         cache.get("d", sha_d, d).views[dataset.ENTRIES] = dict(entries)
         cache.get("e", sha_e, e)
@@ -407,6 +410,7 @@ class TestColumnFile:
             "other_format",
             "format_1",
             "format_2",
+            "format_3",
             "row_count_disagrees",
             "unknown_kind",
             "random_bytes",
@@ -418,8 +422,8 @@ class TestColumnFile:
     ):
         path, sha, target = self._primed(tmp_path)
         data = target.read_bytes()
-        tag, row_count, columns, entries_tag, entries = read_column_file(data)
-        rest = (entries_tag, entries)
+        tag, row_count, columns, entries_tag, entries, labels = read_column_file(data)
+        rest = (entries_tag, entries, labels)
         target.write_bytes(
             {
                 "truncated": data[: len(data) // 2],
@@ -433,7 +437,20 @@ class TestColumnFile:
                 # the layout of format 1: no result entries
                 "format_1": marshal.dumps(((tag[0], 1, *tag[2:]), row_count, columns)),
                 # the layout of format 2: each column's cells decoded in place
-                "format_2": marshal.dumps(((tag[0], 2, *tag[2:]), row_count, columns, *rest)),
+                "format_2": marshal.dumps(
+                    ((tag[0], 2, *tag[2:]), row_count, columns, entries_tag, entries)
+                ),
+                # the layout of format 3: each column's blob checked at
+                # load, the entries in place with no text
+                "format_3": marshal.dumps(
+                    (
+                        (tag[0], 3, *tag[2:]),
+                        row_count,
+                        marshal.loads(data)[2],
+                        entries_tag,
+                        entries,
+                    )
+                ),
                 "row_count_disagrees": column_file_bytes(tag, row_count + 1, columns, *rest),
                 "unknown_kind": column_file_bytes(
                     tag, row_count, (("a", "text", (None,) * row_count),), *rest
@@ -449,28 +466,66 @@ class TestColumnFile:
         _loaded("d", sha, path)
         assert parses == ["d"]  # the rewritten file serves the next load
 
+    @staticmethod
+    def _flip(target, **cells):
+        """In the column file ``target``, flip the lowest mantissa bit of
+        the float ``cells[name]`` inside the blob of each column named."""
+        data = bytearray(target.read_bytes())
+        blobs = column_blobs(bytes(data))
+        for name, cell in cells.items():
+            blob = blobs[name]
+            data[data.index(blob) + blob.index(struct.pack("<d", cell))] ^= 1
+        target.write_bytes(bytes(data))
+
     def test_flipped_bit_in_a_numeric_blob_is_parsed_once_and_rewritten(
         self, tmp_path, parses
     ):
-        path, sha, target = self._primed(tmp_path)
-        data = bytearray(target.read_bytes())
-        blob = column_blobs(bytes(data))["score"]
-        # the lowest mantissa byte of the score 1.5, inside its blob
-        at = data.index(blob) + blob.index(struct.pack("<d", 1.5))
-        data[at] ^= 1
-        target.write_bytes(bytes(data))
+        text = "used,score,extra\ntrue,1.5,2.5\nfalse,-0.0,3.5\n,,\n"
+        path, sha, target = self._primed(tmp_path, text)
+        self._flip(target, score=1.5, extra=2.5)
         parses.clear()
-        ds = _loaded("d", sha, path)
-        assert parses == ["d"]
-        assert _columns(ds) == _columns(load_csv(path))
-        assert ds.column("score").cells == (1.5, -0.0, None)
+        with DatasetCache() as cache:
+            ds = cache.get("d", sha, path)
+            # the load checks no column's blob, and an intact one decodes
+            assert ds.column("used").cells == (True, False, None)
+            assert parses == []
+            # the flip is found at the column's first read
+            assert ds.column("score").cells == (1.5, -0.0, None)
+            assert parses == ["d"]
+            assert ds.column("extra").cells == (2.5, 3.5, None)
+            assert parses == ["d"]  # one parse serves every failed column
+            assert _columns(ds) == _columns(load_csv(path))
         cells = read_column_file(target.read_bytes())[2]
         assert repr(cells) == repr(tuple((c.name, c.kind, c.cells) for c in ds.columns))
         _loaded("d", sha, path)
         assert parses == ["d"]  # the rewritten file serves the next load
 
+    def test_unread_flipped_blob_is_written_back_as_it_was(self, tmp_path, parses):
+        text = "used,score,extra\ntrue,1.5,2.5\nfalse,-0.0,3.5\n,,\n"
+        path, sha, target = self._primed(tmp_path, text)
+        self._flip(target, score=1.5, extra=2.5)
+        flipped = column_blobs(target.read_bytes())["extra"]
+        with DatasetCache() as cache:
+            cache.get("d", sha, path).column("score").cells
+        # the rewrite keeps extra's blob with its old crc32, so the
+        # flip is still found when the column is read
+        assert column_blobs(target.read_bytes())["extra"] == flipped
+        parses.clear()
+        with DatasetCache() as cache:
+            assert cache.get("d", sha, path).column("extra").cells == (2.5, 3.5, None)
+        assert parses == ["d"]
+
+    def test_flipped_blob_of_a_changed_csv_raises(self, tmp_path, parses):
+        path, sha, target = self._primed(tmp_path)
+        self._flip(target, score=1.5)
+        path.write_text("used,score\ntrue,9.5\n", encoding="utf-8")
+        with DatasetCache() as cache:
+            ds = cache.get("d", sha, path)
+            with pytest.raises(DatasetError, match=f"stored column of version {sha} failed"):
+                ds.column("score").cells
+
     def test_row_count_disagreeing_with_the_decoded_cells_raises_on_first_read(self):
-        col = Column.stored("a", KIND_NUMERIC, marshal.dumps((1.0, None)), 3)
+        col = stored_column("a", KIND_NUMERIC, (1.0, None), row_count=3)
         with pytest.raises(DatasetError, match="column 'a': stored cells are not 3 cells"):
             col.cells
 
@@ -526,13 +581,13 @@ class TestColumn:
     def test_rendered_equals_the_cell_by_cell_definition(self, kind_and_cells):
         kind, cells = kind_and_cells
         built = Column("c", kind, tuple(cells))
-        stored = Column.stored("c", kind, marshal.dumps(tuple(cells)), len(cells))
+        stored = stored_column("c", kind, cells)
         assert built.rendered() == _rendered_cell_by_cell(built)
         assert stored.rendered() == _rendered_cell_by_cell(built)
 
     def test_stored_column_equals_and_reprs_as_its_cells(self):
         built = Column("c", KIND_NUMERIC, (1.5, None, -0.0))
-        stored = Column.stored("c", KIND_NUMERIC, marshal.dumps(built.cells), 3)
+        stored = stored_column("c", KIND_NUMERIC, built.cells)
         assert stored == built and hash(stored) == hash(built)
         assert repr(stored) == repr(built) == (
             "Column(name='c', kind='numeric', cells=(1.5, None, -0.0))"

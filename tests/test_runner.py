@@ -5,6 +5,7 @@ import shutil
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from a4l_analytics import dataset, runner
 from a4l_analytics.cli import main
@@ -21,6 +22,8 @@ from a4l_analytics.payload import OutputSpec, parse_payload
 from a4l_analytics.runner import (
     GroupSplit,
     ResultDocument,
+    document_text,
+    entry_text,
     execute_payload,
     group_index,
     split_groups,
@@ -38,6 +41,7 @@ from conftest import (
     build_root,
     column_blobs,
     column_file_bytes,
+    entries_blob,
     jw_payload,
     read_column_file,
     sami_payload,
@@ -622,7 +626,15 @@ class TestStoredEntries:
 
     @pytest.mark.parametrize(
         "spoil",
-        ["foreign_tag", "not_a_dict", "key_of_other_types", "entry_not_a_dict", "truncated"],
+        [
+            "foreign_tag",
+            "not_a_dict",
+            "key_of_other_types",
+            "entry_not_a_dict",
+            "text_not_a_str",
+            "labels_not_pairs",
+            "truncated",
+        ],
     )
     def test_bad_entries_are_ignored_and_rewritten(
         self, tmp_path, derived, capsys, parses, spoil
@@ -632,13 +644,16 @@ class TestStoredEntries:
         first = self._texts(root)
         for path in self._files(root):
             data = path.read_bytes()
-            tag, row_count, columns, entries_tag, entries = read_column_file(data)
+            tag, row_count, columns, entries_tag, entries, labels = read_column_file(data)
             key, entry = next(iter(entries.items()))
             spoiled = {
-                "foreign_tag": ("f" * 64, entries),
-                "not_a_dict": (entries_tag, list(entries.items())),
-                "key_of_other_types": (entries_tag, {**entries, key[:4] + (1,): entry}),
-                "entry_not_a_dict": (entries_tag, {**entries, key: list(entry.items())}),
+                "foreign_tag": ("f" * 64, entries, labels),
+                "not_a_dict": (entries_tag, list(entries.items()), labels),
+                "key_of_other_types": (entries_tag, {**entries, key[:4] + (1,): entry}, labels),
+                "entry_not_a_dict": (entries_tag, {**entries, key: list(entry.items())}, labels),
+                # an (entry, text) pair stored as given
+                "text_not_a_str": (entries_tag, {**entries, key: (entry, None)}, labels),
+                "labels_not_pairs": (entries_tag, entries, {"used_xyz": ["false", "true"]}),
             }.get(spoil)
             if spoiled is None:
                 path.write_bytes(data[:-5])
@@ -662,8 +677,8 @@ class TestStoredEntries:
         files = self._files(root)
         assert len(files) == 2
         for path in files:
-            _, _, _, entries_tag, entries = read_column_file(path.read_bytes())
-            assert (entries_tag, entries) == (None, {})
+            _, _, _, entries_tag, entries, labels = read_column_file(path.read_bytes())
+            assert (entries_tag, entries, labels) == (None, {}, {})
         # a version loaded with its entries is not written again
         assert self._run(root) == 4
         stored = {path: path.read_bytes() for path in self._files(root)}
@@ -683,29 +698,63 @@ class TestStoredEntries:
         monkeypatch.setattr(dataset.marshal, "loads", recording)
         return sizes
 
-    def test_run_from_stored_entries_decodes_only_the_columns_it_groups_by(
+    def test_run_from_stored_entries_decodes_no_column(
         self, tmp_path, derived, capsys, monkeypatch
     ):
         root = self._root(tmp_path)
         assert self._run(root) == 4
         files = [path.read_bytes() for path in self._files(root)]
-        # the independents of the grouped requests, xyz's used_xyz and
-        # d's used; the contingency table of used_xyz and region needs
-        # no split, so its stored entry decodes neither of its columns
-        grouped = [
-            blob
-            for data in files
-            for name, blob in column_blobs(data).items()
-            if name in ("used_xyz", "used")
-        ]
-        assert len(grouped) == 2
+        stored = [entries_blob(data) for data in files]
         self._clear(derived)
         sizes = self._decoding(monkeypatch)
+        checked = []
+        crc32 = dataset.zlib.crc32
+
+        def checking(data):
+            checked.append(len(data))
+            return crc32(data)
+
+        monkeypatch.setattr(dataset.zlib, "crc32", checking)
+        encoded = []
+        encode = json.JSONEncoder.encode
+
+        def encoding(encoder, value):
+            encoded.append(value)
+            return encode(encoder, value)
+
+        monkeypatch.setattr(json.JSONEncoder, "encode", encoding)
         assert self._run(root) == 4
         assert derived["kernels"] == {}
-        # one decode of each column file as a whole, then one of each
-        # independent's blob
-        assert sorted(sizes) == sorted(map(len, files + grouped))
+        # the entries and labels blob of each file is checked and
+        # decoded; no column's blob is either, not even for a document's
+        # groups
+        assert sorted(checked) == sorted(map(len, stored))
+        assert sorted(sizes) == sorted(map(len, files + stored))
+        # one shell per document, with its results empty; no entry
+        documents = sorted((root / "results" / "probe").glob("*.json"))
+        assert len(encoded) == len(documents)
+        assert [value["results"] for value in encoded] == [[]] * len(documents)
+
+    def test_flipped_bit_in_the_entries_blob_drops_the_entries_and_keeps_the_columns(
+        self, tmp_path, derived, capsys, parses
+    ):
+        root = self._root(tmp_path)
+        made = self._fresh_run(root, derived)
+        first = self._texts(root)
+        for path in self._files(root):
+            data = bytearray(path.read_bytes())
+            blob = entries_blob(bytes(data))
+            # a bit of the last entry's text
+            data[data.index(blob) + blob.rindex(b"}")] ^= 1
+            path.write_bytes(bytes(data))
+        parses.clear()
+        assert self._run(root) == 4
+        assert parses == []
+        assert derived["kernels"] == made
+        assert self._texts(root) == first
+        self._clear(derived)
+        assert self._run(root) == 4
+        assert derived["kernels"] == {}
 
     def test_validate_decodes_no_column(self, tmp_path, capsys, monkeypatch):
         root = self._root(tmp_path)
@@ -719,8 +768,13 @@ class TestStoredEntries:
         monkeypatch.setattr(DatasetCache, "get", keeping)
         sizes = self._decoding(monkeypatch)
         assert main(["--root", str(root), "validate", str(root / "probe.json")]) == 0
-        # one decode of each column file, of the file as a whole
-        assert sorted(sizes) == sorted(path.stat().st_size for path in self._files(root))
+        # one decode of each column file, of the file as a whole and of
+        # its entries blob
+        assert sorted(sizes) == sorted(
+            size
+            for path in self._files(root)
+            for size in (path.stat().st_size, len(entries_blob(path.read_bytes())))
+        )
         blobs = [
             blob
             for path in self._files(root)
@@ -755,8 +809,10 @@ class TestStoredEntries:
         after = path.read_bytes()
         assert len(read_column_file(after)[4]) == len(read_column_file(before)[4]) + 1
         assert column_blobs(after) == column_blobs(before)
-        # one encode, of the file's outer object: no cell is encoded again
-        assert [value[0] for value in dumped] == [dataset._COLUMNS_TAG]
+        # one encode of the entries and labels, then one of the file's
+        # outer object: no cell is encoded again
+        assert dumped[0] == dataset.marshal.loads(entries_blob(after))
+        assert [value[0] for value in dumped[1:]] == [dataset._COLUMNS_TAG]
 
     def test_unwritable_columns_still_run_ok(self, tmp_path, derived, capsys):
         root = self._root(tmp_path)
@@ -900,6 +956,76 @@ class TestWriteResult:
         assert '"t": Infinity' in text
         with pytest.raises(ValueError, match="Infinity is not a JSON number"):
             strict_loads(text)
+
+
+# JSON values as entries hold them, and more: NaN, infinities and signed
+# zeros, non-ASCII and control characters, nesting and empty containers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=12,
+)
+ENTRIES = st.lists(st.dictionaries(st.text(max_size=10), JSON_VALUES, max_size=5), max_size=5)
+LABELS = st.none() | st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=2)
+
+
+def _document(results, groups=None, text="x"):
+    return ResultDocument(
+        domain=text,
+        statistic="get_welch_ttest",
+        dataset={"name": text, "sha256": "0" * 64},
+        independent=text,
+        alternative="two_sided",
+        alpha=0.05,
+        groups=groups,
+        results=results,
+        result_file=text,
+        run_id=text,
+        generated_at=text,
+    )
+
+
+class TestDocumentText:
+    """A document is written as one encoded shell with each entry's text
+    spliced in, byte for byte what ``json.dumps(indent=2)`` writes."""
+
+    @given(results=ENTRIES, keep=st.lists(st.booleans()), groups=LABELS, text=st.text())
+    @example(
+        results=[
+            {"t": float("nan"), "p": float("inf"), "d": float("-inf"), "z": -0.0},
+            {"dependent": "\u00e9\u4e2d\U0001f600", "message": "a\nb\t\x00\x1f\"\\"},
+            {"nested": {"a": [1, {"b": [[], {}]}], "c": {}}, "list": [[[]]]},
+            {},
+        ],
+        keep=[True, False, True, False],
+        groups={"results": "group1", "\n": "group2"},
+        text='"results": []',
+    )
+    @example(results=[], keep=[], groups=None, text="")
+    @settings(max_examples=300, deadline=None)
+    def test_spliced_bytes_equal_json_dumps(self, results, keep, groups, text):
+        doc = _document(results, groups, text)
+        # some entries have their text stored beside them, the rest not
+        doc.encoded = [(e, entry_text(e)) for e, stored in zip(results, keep) if stored]
+        expected = json.dumps(doc.to_dict(), indent=2) + "\n"
+        assert document_text(doc).encode("utf-8") == expected.encode("utf-8")
+
+    def test_stored_text_is_written_in_place_of_the_entry(self, tmp_path):
+        entry = {"dependent": "x"}
+        doc = _document([entry])
+        doc.encoded = [(entry, "    STORED")]
+        assert "\n    STORED\n" in document_text(doc)
+        # an equal entry that is not the one stored is encoded
+        doc.results = [dict(entry)]
+        assert document_text(doc) == json.dumps(doc.to_dict(), indent=2) + "\n"
+
+    def test_write_result_writes_the_document_text(self, tmp_path):
+        doc = _document([{"dependent": "x", "t": -0.0}, {"dependent": "y", "error": {}}])
+        write_result(doc, OutputSpec(bucket="b", prefix=""), tmp_path)
+        assert (tmp_path / "b" / "x.json").read_bytes() == (
+            json.dumps(doc.to_dict(), indent=2) + "\n"
+        ).encode("utf-8")
 
 
 class TestDocumentKeys:

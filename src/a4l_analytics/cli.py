@@ -6,7 +6,6 @@ Exit codes are a stable contract:
 """
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -205,17 +204,13 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process. It holds no
-    environment: ``main`` reads ``A4L_ROOT`` on each call, and looks up
-    each command's handler by name."""
     parser = argparse.ArgumentParser(
         prog="a4l", description="Configuration-driven analytics pipeline"
     )
     parser.add_argument(
         "--root",
-        default=None,
+        default=os.environ.get("A4L_ROOT", "."),
         help="pipeline root directory (default: $A4L_ROOT or '.')",
     )
     parser.add_argument(
@@ -225,11 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a payload against the warehouse")
     p.add_argument("payload")
+    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="execute one payload and write its results")
     p.add_argument("payload")
+    p.set_defaults(func=cmd_run)
 
-    sub.add_parser("sync", help="run one scan/sync/select/run cycle")
+    p = sub.add_parser("sync", help="run one scan/sync/select/run cycle")
+    p.set_defaults(func=cmd_sync)
 
     p = sub.add_parser("watch", help="run sync cycles on an interval")
     p.add_argument(
@@ -238,20 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=86400.0,
         help="seconds between cycles (default 86400)",
     )
+    p.set_defaults(func=cmd_watch)
 
-    sub.add_parser("list", help="list datasets and the payload dependency index")
+    p = sub.add_parser("list", help="list datasets and the payload dependency index")
+    p.set_defaults(func=cmd_list)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.root is None:
-        args.root = os.environ.get("A4L_ROOT", ".")
     if args.command == "watch" and args.interval < 1.0:
         args.interval = 1.0
-    # looked up on each call, so a handler replaced in this module (a
-    # tracing wrapper) is the one run
-    return globals()[f"cmd_{args.command}"](args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

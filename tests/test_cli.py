@@ -1,12 +1,11 @@
 """CLI behavior and the exit-code contract."""
 
-import argparse
 import json
 import shutil
 
 import pytest
 
-from a4l_analytics import cli, orchestrator
+from a4l_analytics import orchestrator
 from a4l_analytics.cli import main
 from a4l_analytics.dataset import Warehouse
 from a4l_analytics.orchestrator import CycleLock, run_cycle
@@ -458,31 +457,6 @@ class TestWatchCommand:
         finally:
             lock.release()
         assert code == 5
-
-
-class TestParser:
-    def test_built_once_and_the_root_read_on_each_call(
-        self, synced_root, tmp_path, capsys, monkeypatch
-    ):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting(parser, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        cli.build_parser.cache_clear()
-        datasets = []
-        for root in (synced_root, tmp_path / "empty"):
-            monkeypatch.setenv("A4L_ROOT", str(root))
-            assert run_cli("--json", "list") == 0
-            datasets.append(json.loads(capsys.readouterr().out)["datasets"])
-        assert sorted(datasets[0]) == sorted(
-            ["jw_fall23_usage", "vera_summer23_usage", "sami_fall24_usage"]
-        )
-        assert datasets[1] == {}
-        assert built.count("a4l") == 1
 
 
 class TestList:

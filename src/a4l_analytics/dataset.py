@@ -38,7 +38,6 @@ import math
 import os
 import re
 import sys
-import uuid
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -191,16 +190,26 @@ class TabularDataset:
         return {c.name: c.kind for c in self.columns}
 
 
+def _create(path: Path, flags: int) -> int:
+    """``os.open(path, flags | O_CREAT)``, mode 0666 less the umask; a
+    missing parent is made, with its own, and the open tried once more."""
+    try:
+        return os.open(path, flags | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return os.open(path, flags | os.O_CREAT, 0o666)
+
+
 def atomic_write(target: Path, data: bytes) -> None:
     """Replace ``target`` with ``data`` in one step.
 
-    The bytes go to a temp file beside the target, which then replaces
-    it, so a reader sees the old file or the new one, never a part. On
-    any failure the temp file is removed and the target is untouched.
-    The file is created with mode 0666 less the umask, as ``open`` would.
+    The bytes go to a temp file beside the target, made by ``_create``
+    with its directory if missing, which then replaces it, so a reader
+    sees the old file or the new one, never a part. On any failure the
+    temp file is removed and the target is untouched.
     """
-    tmp = target.with_name(f".{target.stem}-{uuid.uuid4().hex}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    tmp = target.with_name(f".{target.stem}-{os.urandom(16).hex()}.tmp")
+    fd = _create(tmp, os.O_WRONLY | os.O_EXCL)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -209,6 +218,29 @@ def atomic_write(target: Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def append_line(path: Path, line: bytes) -> None:
+    """Append ``line``, which ends in a newline, to the file at ``path``
+    in one ``write`` (``_create`` makes the file and a missing directory).
+
+    A crash can leave the file's last line torn. When the file does not
+    end in a newline, one goes first, in the same ``write``, so the torn
+    line stays a line of its own, which a reader skips because it does
+    not parse, and ``line`` is whole. The caller holds a lock, so no
+    other write interleaves. A short write raises, as a failed
+    ``atomic_write`` does.
+    """
+    fd = _create(path, os.O_RDWR | os.O_APPEND)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = b"\n" + line
+        written = os.write(fd, line)
+        if written != len(line):
+            raise OSError(f"{path}: wrote {written} of {len(line)} bytes")
+    finally:
+        os.close(fd)
 
 
 def sha256_file(path: Union[str, Path]) -> str:
@@ -538,7 +570,6 @@ def _store_columns(target: Path, ds: TabularDataset, entries: dict, labels: dict
         )
     )
     try:
-        target.parent.mkdir(exist_ok=True)
         atomic_write(target, data)
     except OSError:
         pass
@@ -726,7 +757,7 @@ class Warehouse:
         return data
 
     def write_manifest(self, entries: Dict[str, dict]) -> None:
-        self.dir.mkdir(parents=True, exist_ok=True)
+        """Replace the manifest (``atomic_write``: its directory is made if missing)."""
         text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
         atomic_write(self.manifest_path, text.encode("utf-8"))
 
@@ -769,7 +800,7 @@ def fetch_to_staging(
     Every name must already be in the manifest; after payload validation
     an unknown name here is an internal error.
     """
-    run = StagedRun(run_id=uuid.uuid4().hex)
+    run = StagedRun(run_id=os.urandom(16).hex())
     for name in names:
         if name not in manifest:
             raise UnknownDatasetError(

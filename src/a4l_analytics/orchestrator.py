@@ -30,6 +30,7 @@ from typing import AbstractSet, Dict, List, Optional, Tuple, Union
 from .dataset import (
     DatasetCache,
     Warehouse,
+    append_line,
     atomic_write,
     fetch_to_staging,
     sha256_file,
@@ -85,7 +86,8 @@ class CycleLock:
 
     Acquiring touches the file and keeps its new ``st_mtime_ns`` as
     ``stamp``: a reading of the filesystem's own clock, taken before the
-    holder looks at any input (see ``_trusted``).
+    holder looks at any input (see ``_trusted``). The file's directory,
+    the root, is never made: a missing root is an error.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -214,7 +216,8 @@ def sync_warehouse(
     the copy, the existing warehouse file is hard-linked as
     archive/<name>/<old sha256>.csv, then the new bytes replace it in one
     step, so a reader of warehouse/<name>.csv always sees a whole
-    version. The manifest is rewritten atomically at the end, and then
+    version. The archive's directory is made before the link, which is
+    no file creation. The manifest is rewritten atomically at the end, and then
     the column files of versions it no longer names are removed. An archive
     file that already exists is kept: after a cycle that failed before
     its manifest write, the warehouse file may already hold the new
@@ -251,7 +254,6 @@ def sync_warehouse(
                 os.link(target, archive_path)
             record.archived_to = str(archive_path.relative_to(warehouse.root))
 
-        warehouse.dir.mkdir(parents=True, exist_ok=True)
         atomic_write(target, data)
         manifest[name] = {
             "sha256": new_sha,
@@ -338,8 +340,8 @@ class RegistryRecord:
         self.store: Dict[str, dict] = stored["store"]
 
     def save(self) -> None:
-        """Write the sections when they differ from the file's; a
-        warehouse that cannot be written still runs, uncached."""
+        """Write the sections when they differ from the file's (``atomic_write``,
+        which makes a missing directory); an unwritable warehouse runs uncached."""
         sections = {"payloads": self.payloads, "store": self.store}
         if sections == self._stored:
             return
@@ -348,7 +350,6 @@ class RegistryRecord:
         record = {"tag": _RECORD_TAG, **sections}
         text = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             atomic_write(self.path, text.encode("utf-8"))
         except OSError:
             return
@@ -498,36 +499,6 @@ def internal_error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _append_line(path: Path, line: bytes) -> None:
-    """Append ``line``, which ends in a newline, to the file at ``path``
-    in one ``write``, creating the file, and its directory only when it
-    is missing.
-
-    A crash can leave the file's last line torn. When the file does not
-    end in a newline, one goes first, in the same ``write``, so the torn
-    line stays a line of its own, which a reader skips because it does
-    not parse, and ``line`` is whole. Only the cycle lock's holder
-    appends, so no other write interleaves. A short write raises, as a
-    failed ``atomic_write`` does. The file is created with mode 0666 less
-    the umask, as ``open`` would.
-    """
-    flags = os.O_RDWR | os.O_CREAT | os.O_APPEND
-    try:
-        fd = os.open(path, flags, 0o666)
-    except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, flags, 0o666)
-    try:
-        size = os.fstat(fd).st_size
-        if size and os.pread(fd, 1, size - 1) != b"\n":
-            line = b"\n" + line
-        written = os.write(fd, line)
-        if written != len(line):
-            raise OSError(f"{path}: wrote {written} of {len(line)} bytes")
-    finally:
-        os.close(fd)
-
-
 def run_cycle(root: Union[str, Path]) -> SyncReport:
     """One full orchestration cycle over the pipeline root.
 
@@ -585,12 +556,11 @@ def run_cycle(root: Union[str, Path]) -> SyncReport:
 
         runs_dir = root / "runs"
         if report.updated or report.selected_payloads:
-            runs_dir.mkdir(parents=True, exist_ok=True)
             text = json.dumps(asdict(report), indent=2) + "\n"
             atomic_write(runs_dir / f"{report.scanned_at}.json", text.encode("utf-8"))
         else:
             line = json.dumps(asdict(report), separators=(",", ":")) + "\n"
-            _append_line(runs_dir / f"idle-{report.scanned_at[:10]}.jsonl", line.encode("utf-8"))
+            append_line(runs_dir / f"idle-{report.scanned_at[:10]}.jsonl", line.encode("utf-8"))
         return report
 
 

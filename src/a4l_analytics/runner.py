@@ -416,11 +416,10 @@ def write_result(
     doc: ResultDocument, out: "OutputSpec", results_root: Union[str, Path]
 ) -> StoredResultKey:
     """Atomically write one result document below the results root, as
-    ``document_text`` gives it."""
+    ``document_text`` gives it (``atomic_write`` makes a missing directory)."""
     key = StoredResultKey(
         bucket=out.bucket, prefix=out.prefix, file_name=f"{doc.result_file}.json"
     )
     target = Path(results_root).joinpath(*key.as_path().split("/"))
-    target.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(target, document_text(doc).encode("utf-8"))
     return key

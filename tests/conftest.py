@@ -466,6 +466,58 @@ def input_reads(monkeypatch):
 
 
 @pytest.fixture
+def fs_ops(monkeypatch):
+    """Every directory made, file created, rename, link and removal made
+    through ``os``, in call order, as (operation, path, outcome).
+
+    The operations are "mkdir" (``os.mkdir``, which ``Path.mkdir``
+    calls), "create" (``os.open`` with ``O_CREAT``), "replace" and
+    "link" (``os.replace`` and ``os.link``, by their destination) and
+    "unlink" (``os.unlink``). The path is a ``Path`` as given, and the
+    outcome "ok" or the errno name of the OSError raised, as "EEXIST".
+    Recording starts with the fixture, so a test clears the list before
+    the command it measures.
+    """
+    import errno
+    import os
+    import pathlib
+
+    ops = []
+
+    def recording(operation, call, path_at):
+        def recorded(*args, **kwargs):
+            if operation == "create" and not args[1] & os.O_CREAT:
+                return call(*args, **kwargs)
+            path = Path(args[path_at])
+            try:
+                result = call(*args, **kwargs)
+            except OSError as exc:
+                ops.append((operation, path, errno.errorcode.get(exc.errno, str(exc.errno))))
+                raise
+            ops.append((operation, path, "ok"))
+            return result
+
+        return recorded
+
+    wrapped = {
+        "mkdir": recording("mkdir", os.mkdir, 0),
+        "open": recording("create", os.open, 0),
+        "replace": recording("replace", os.replace, 1),
+        "link": recording("link", os.link, 1),
+        "unlink": recording("unlink", os.unlink, 0),
+    }
+    for name, call in wrapped.items():
+        monkeypatch.setattr(os, name, call)
+    # before Python 3.11, Path.mkdir and Path.unlink reach os through
+    # pathlib's accessor, which bound the functions at import
+    accessor = getattr(pathlib, "_NormalAccessor", None)
+    if accessor is not None:
+        for name in ("mkdir", "unlink"):
+            monkeypatch.setattr(accessor, name, staticmethod(wrapped[name]))
+    return ops
+
+
+@pytest.fixture
 def derived(monkeypatch):
     """Every group split, group summary and kernel call the runner makes.
 

@@ -99,6 +99,17 @@ class TestRun:
         assert "results/jw/jw_fall23_ttest.json" in out
         assert (synced_root / "results" / "jw" / "jw_fall23_ttest.json").is_file()
 
+    def test_settled_run_makes_no_directory(self, settled_root, fs_ops):
+        fs_ops.clear()
+        for payload in sorted((settled_root / "payloads").iterdir()):
+            assert run_cli("--root", str(settled_root), "run", str(payload)) == 0
+        assert [op for op in fs_ops if op[0] == "mkdir"] == []
+        # each document is still written: a temp file created, then renamed
+        results = settled_root / "results"
+        documents = [op for op in fs_ops if op[0] == "replace"]
+        assert len(documents) == 9
+        assert all(path.is_relative_to(results) and ok == "ok" for _, path, ok in documents)
+
     def test_partial_exits_4_but_writes(self, synced_root, capsys, tmp_path):
         _constant_sob_score(synced_root)
 

@@ -732,6 +732,28 @@ class TestStaging:
         assert missing_before == missing_after == 2
 
 
+class TestAtomicWrite:
+    def test_makes_a_missing_nested_directory(self, tmp_path, fs_ops):
+        target = tmp_path / "a" / "b" / "doc.json"
+        fs_ops.clear()
+        atomic_write(target, b"new\n")
+        assert target.read_bytes() == b"new\n"
+        found = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert found == ["a", "a/b", "a/b/doc.json"]
+        made = [(p.relative_to(tmp_path).as_posix(), ok) for op, p, ok in fs_ops if op == "mkdir"]
+        assert [path for path, ok in made if ok == "ok"] == ["a", "a/b"]
+
+    @pytest.mark.parametrize("below", ["doc.json", "sub/doc.json"])
+    def test_below_a_regular_file_raises_and_creates_nothing(self, tmp_path, fs_ops, below):
+        (tmp_path / "file").write_bytes(b"old\n")
+        fs_ops.clear()
+        with pytest.raises(OSError):
+            atomic_write(tmp_path / "file" / below, b"new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_bytes() == b"old\n"
+        assert [call for call in fs_ops if call[2] == "ok"] == []
+
+
 class TestManifestAtomicity:
     def test_write_replaces_atomically(self, tmp_path):
         wh = Warehouse(tmp_path)

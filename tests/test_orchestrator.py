@@ -911,6 +911,14 @@ def _clock(monkeypatch, *stamps):
     monkeypatch.setattr(orchestrator, "utc_now_rfc3339", lambda: next(times))
 
 
+def _made(ops, root):
+    """Each directory call of ``ops`` (the ``fs_ops`` fixture's list), as
+    (path below ``root``, outcome)."""
+    return [
+        (path.relative_to(root).as_posix(), outcome) for op, path, outcome in ops if op == "mkdir"
+    ]
+
+
 class TestIdleLog:
     """An idle cycle appends its report to runs/idle-<UTC date>.jsonl."""
 
@@ -992,22 +1000,16 @@ class TestIdleLog:
         assert stored["selected_payloads"] == ["sami_fall24.json"]
         assert log.read_bytes() == idle
 
-    def test_runs_directory_is_made_only_when_missing(self, settled_root, monkeypatch):
-        made = []
-        mkdir = os.mkdir
-
-        def recording(path, *args, **kwargs):
-            made.append(Path(path).name)
-            mkdir(path, *args, **kwargs)
-
-        monkeypatch.setattr(os, "mkdir", recording)
+    def test_runs_directory_is_made_only_when_missing(self, settled_root, fs_ops):
+        fs_ops.clear()
         run_cycle(settled_root)
-        assert made == []
+        assert _made(fs_ops, settled_root) == []
         for path in (settled_root / "runs").iterdir():
             path.unlink()
         (settled_root / "runs").rmdir()
+        fs_ops.clear()
         report = run_cycle(settled_root)
-        assert made == ["runs"]
+        assert _made(fs_ops, settled_root) == [("runs", "ok")]
         assert len(_idle_reports(_idle_log(settled_root, report))) == 1
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -1026,6 +1028,45 @@ class TestIdleLog:
         with pytest.raises(OSError):
             run_cycle(synced_root)
         assert a4l(["--root", str(synced_root), "sync"]) == 1
+
+
+class TestDirectories:
+    """A file write makes its directory only when the directory is
+    missing, so no directory call fails on one that exists."""
+
+    def test_cold_sync_makes_each_directory_once(self, domain_root, fs_ops):
+        add_domain(domain_root, "xyz")
+        fs_ops.clear()
+        assert run_cycle(domain_root).all_ok()
+        made = _made(fs_ops, domain_root)
+        # a parent made on demand first fails its child's call with ENOENT
+        assert {outcome for _, outcome in made} <= {"ok", "ENOENT"}
+        created = [path for path, outcome in made if outcome == "ok"]
+        assert sorted(created) == [
+            "results",
+            "results/jw",
+            "results/sami",
+            "results/vera",
+            "results/xyz",
+            "runs",
+            "warehouse",
+            "warehouse/columns",
+        ]
+
+    def test_update_makes_only_a_new_archive_directory(self, settled_root, fs_ops):
+        _touch_store(settled_root)
+        fs_ops.clear()
+        assert [u.dataset for u in run_cycle(settled_root).updated] == ["sami_fall24_usage"]
+        made = _made(fs_ops, settled_root)
+        assert [path for path, outcome in made if outcome == "ok"] == [
+            "archive",
+            "archive/sami_fall24_usage",
+        ]
+        assert {path for path, _ in made} == {"archive", "archive/sami_fall24_usage"}
+        _touch_store(settled_root, "vera_summer23_usage")
+        fs_ops.clear()
+        assert [u.dataset for u in run_cycle(settled_root).updated] == ["vera_summer23_usage"]
+        assert _made(fs_ops, settled_root) == [("archive/vera_summer23_usage", "ok")]
 
 
 class TestRunCycle:

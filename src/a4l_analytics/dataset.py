@@ -716,7 +716,7 @@ class Warehouse:
                                       each version parsed
         warehouse/reconcile.json      the sha256 and stat witness of each
                                       payload and store file, and what each
-                                      payload references
+                                      payload references, under one crc32
                                       (orchestrator.RegistryRecord)
         archive/<name>/<sha256>.csv   superseded versions, named by their hash
     """
@@ -724,20 +724,26 @@ class Warehouse:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.dir = self.root / "warehouse"
-        self.columns_dir = self.dir / COLUMNS_DIR
-        self.archive_dir = self.root / "archive"
         self.manifest_path = self.dir / "manifest.json"
         self.reconcile_path = self.dir / "reconcile.json"
+
+    # made on use: an idle cycle needs neither
+    @property
+    def columns_dir(self) -> Path:
+        return self.dir / COLUMNS_DIR
+
+    @property
+    def archive_dir(self) -> Path:
+        return self.root / "archive"
 
     def manifest(self) -> Dict[str, dict]:
         """The manifest's entries by dataset name, each checked to hold a
         ``sha256`` of 64 hex digits and an int ``bytes``; ManifestError
-        otherwise."""
-        if not self.manifest_path.exists():
-            return {}
+        otherwise. A missing manifest has no entries."""
         try:
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = json.loads(self.manifest_path.read_bytes().decode("utf-8"))
+        except (FileNotFoundError, NotADirectoryError):
+            return {}
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError and UnicodeDecodeError
             raise ManifestError(f"{self.manifest_path}: {exc}") from exc

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+import zlib
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -91,7 +92,7 @@ class CycleLock:
     """
 
     def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
+        self.path = path
         self._fd: Optional[int] = None
         self.stamp: Optional[int] = None
 
@@ -129,7 +130,7 @@ class CycleLock:
         self.release()
 
 
-def _listing(directory: Path, suffix: str) -> List[os.DirEntry]:
+def _listing(directory: Union[str, Path], suffix: str) -> List[os.DirEntry]:
     """The entries of ``directory`` that ``directory.glob("*" + suffix)``
     selects (hidden ones and directories too, names matched with case),
     sorted by name; none when the directory cannot be listed, as with
@@ -164,7 +165,7 @@ def _trusted(witness: List[int], stamp: Optional[int]) -> bool:
 
 
 def scan_store(
-    store_dir: Union[str, Path], record: "RegistryRecord", stamp: Optional[int]
+    store_dir: Path, record: "RegistryRecord", stamp: Optional[int]
 ) -> Dict[str, str]:
     """The sha256 of every CSV in the published data store, by dataset
     name: the file name without its ``.csv`` suffix. A file named just
@@ -176,12 +177,11 @@ def scan_store(
     found, with the witness of each file hashed under the lock stamped
     ``stamp`` kept only when ``_trusted``.
     """
-    store = Path(store_dir)
-    if not store.is_dir():
-        raise A4LError(f"published store directory {store} does not exist")
+    if not store_dir.is_dir():
+        raise A4LError(f"published store directory {store_dir} does not exist")
     found: Dict[str, dict] = {}
     result = {}
-    for item in _listing(store, ".csv"):
+    for item in _listing(store_dir, ".csv"):
         name = item.name[: -len(".csv")]
         if not name:
             continue
@@ -216,8 +216,8 @@ def sync_warehouse(
     the copy, the existing warehouse file is hard-linked as
     archive/<name>/<old sha256>.csv, then the new bytes replace it in one
     step, so a reader of warehouse/<name>.csv always sees a whole
-    version. The archive's directory is made before the link, which is
-    no file creation. The manifest is rewritten atomically at the end, and then
+    version. The archive's directory is made only when the link finds it
+    missing. The manifest is rewritten atomically at the end, and then
     the column files of versions it no longer names are removed. An archive
     file that already exists is kept: after a cycle that failed before
     its manifest write, the warehouse file may already hold the new
@@ -250,8 +250,11 @@ def sync_warehouse(
             record.old_sha256 = entry["sha256"]
             archive_path = warehouse.archive_dir / name / f"{record.old_sha256}.csv"
             if not archive_path.exists():
-                archive_path.parent.mkdir(parents=True, exist_ok=True)
-                os.link(target, archive_path)
+                try:
+                    os.link(target, archive_path)
+                except FileNotFoundError:
+                    archive_path.parent.mkdir(parents=True, exist_ok=True)
+                    os.link(target, archive_path)
             record.archived_to = str(archive_path.relative_to(warehouse.root))
 
         atomic_write(target, data)
@@ -277,45 +280,30 @@ def sync_warehouse(
 # parse_payload accepts or rejects different bytes,
 # AnalysisPayload.datasets() changes or the entries' fields change: a
 # record of another format is ignored and written again, as a column
-# file of another _COLUMNS_FORMAT is.
-_RECORD_FORMAT = 2
-_RECORD_TAG = ["a4l-reconcile", _RECORD_FORMAT]
-
-
-def _is_witness(stat) -> bool:
-    return stat is None or (
-        type(stat) is list and len(stat) == 5 and all(type(v) is int for v in stat)
-    )
+# file of another _COLUMNS_FORMAT is. Format 3 guards the file with one
+# crc32 in its tag, where format 2 checked every entry on each load.
+_RECORD_FORMAT = 3
+_RECORD_PREFIX = b'{"tag":["a4l-reconcile",%d,' % _RECORD_FORMAT
 
 
 def _read_record(path: Path) -> Optional[Dict[str, Dict[str, dict]]]:
     """The registry record's ``payloads`` and ``store`` sections at
-    ``path``, or None when the file is missing, unreadable, of another
-    tag or format, or malformed in either section."""
+    ``path``, or None when the file is missing or unreadable, or does
+    not begin with this format's tag and the crc32 of the bytes after
+    it. So any edit, truncation or flipped bit discards the record."""
     try:
-        data = json.loads(path.read_bytes())
-    except (OSError, ValueError, RecursionError):
+        data = path.read_bytes()
+    except OSError:
         return None
-    if not isinstance(data, dict) or data.get("tag") != _RECORD_TAG:
+    if not data.startswith(_RECORD_PREFIX):
         return None
-    sections = {key: data.get(key) for key in ("payloads", "store")}
-    if not all(isinstance(entries, dict) for entries in sections.values()):
+    start = len(_RECORD_PREFIX)
+    end = data.find(b"],", start)
+    if end < 0 or data[start:end] != b"%d" % zlib.crc32(memoryview(data)[end + 2 :]):
         return None
-    for key, entries in sections.items():
-        for entry in entries.values():
-            if not (
-                isinstance(entry, dict)
-                and isinstance(entry.get("sha256"), str)
-                and _is_witness(entry.get("stat", 0))
-            ):
-                return None
-            if key == "payloads":
-                names = entry.get("datasets", 0)
-                if names is not None and not (
-                    isinstance(names, list) and all(isinstance(n, str) for n in names)
-                ):
-                    return None
-    return sections
+    # the crc32 matches only bytes that save wrote
+    record = json.loads(data)
+    return {"payloads": record["payloads"], "store": record["store"]}
 
 
 class RegistryRecord:
@@ -328,13 +316,19 @@ class RegistryRecord:
     None, when the bytes do not parse. ``store`` maps a dataset name to
     the sha256 and the stat witness of its store file. A walk of the
     registry (``payload_index``) and a scan of the store (``scan_store``)
-    each replace their section with what they found. The record is
-    written only by the pipeline and trusted as ``manifest.json`` is.
+    each replace their section with what they found.
+
+    The file is one compact JSON object that begins
+    ``{"tag":["a4l-reconcile",<format>,<crc32>],``, where the crc32 is
+    ``zlib.crc32`` of every byte after that comma. Only the pipeline
+    writes it, and only with sections those two built, so a file whose
+    crc32 matches is loaded without a check of its entries; any other
+    file is ignored. The record is trusted as ``manifest.json`` is.
     """
 
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._stored = _read_record(self.path)
+    def __init__(self, path: Path):
+        self.path = path
+        self._stored = _read_record(path)
         stored = self._stored or {"payloads": {}, "store": {}}
         self.payloads: Dict[str, dict] = stored["payloads"]
         self.store: Dict[str, dict] = stored["store"]
@@ -347,10 +341,10 @@ class RegistryRecord:
             return
         # compact, so that json's C encoder writes it: a working cycle
         # writes the record whenever a store file changed
-        record = {"tag": _RECORD_TAG, **sections}
-        text = json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+        text = json.dumps(sections, separators=(",", ":"), sort_keys=True)
+        body = text[1:].encode("utf-8") + b"\n"
         try:
-            atomic_write(self.path, text.encode("utf-8"))
+            atomic_write(self.path, _RECORD_PREFIX + b"%d]," % zlib.crc32(body) + body)
         except OSError:
             return
         self._stored = sections
@@ -391,12 +385,12 @@ def payload_index(
     selected: Dict[str, AnalysisPayload] = {}
     broken: List[str] = []
     found: Dict[str, dict] = {}
-    registry = Path(registry_dir)
-    for item in _listing(registry, ".json") if registry.is_dir() else ():
+    for item in _listing(registry_dir, ".json"):
         name = item.name
         entry, payload = record.payloads.get(name), None
         selects = (
-            entry is not None
+            updated
+            and entry is not None
             and entry["datasets"] is not None
             and not updated.isdisjoint(entry["datasets"])
         )
@@ -419,7 +413,7 @@ def payload_index(
             broken.append(name)
             continue
         references[name] = entry["datasets"]
-        if not updated.isdisjoint(entry["datasets"]):
+        if updated and not updated.isdisjoint(entry["datasets"]):
             selected[name] = payload
     record.payloads = found
     return references, selected, broken

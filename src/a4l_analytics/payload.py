@@ -9,7 +9,6 @@ payload that parses and validates cleanly cannot fail on a name lookup
 during execution.
 """
 
-import difflib
 import json
 import re
 from dataclasses import asdict, dataclass, field
@@ -320,6 +319,10 @@ def serialize_payload(payload: AnalysisPayload) -> str:
 
 def _unknown_name(path: str, message: str, name: str, known: Iterable[str]) -> Diagnostic:
     """A name that is not among ``known``, suggesting the closest one."""
+    # imported on this path only: a command whose payload names only
+    # known datasets and columns never loads it
+    import difflib
+
     matches = difflib.get_close_matches(name, list(known), n=1)
     return Diagnostic(path, message, name, matches[0] if matches else None)
 

@@ -8,13 +8,11 @@ naming the inputs.
 
 import math
 import sys
-from statistics import NormalDist
 from typing import Tuple
 
 from ..errors import ArgumentError, NonConvergenceError
 from ._backend import kernels
 
-_STANDARD_NORMAL = NormalDist()
 _EPS = sys.float_info.epsilon
 _LN_MAX_FLOAT = math.log(sys.float_info.max)
 # Halley converges cubically, so a step this small leaves an error far
@@ -87,7 +85,11 @@ def _quantile_start(q: float, df: float) -> Tuple[float, bool]:
       t > 0, so this too is a lower bound; it is the close start near
       p = 1/2 when df is small.
     """
-    z = -_STANDARD_NORMAL.inv_cdf(q)
+    # imported here only: statistics loads decimal and fractions, which a
+    # command that computes no t quantile never uses
+    from statistics import NormalDist
+
+    z = -NormalDist().inv_cdf(q)
     z2 = z * z
     g1 = (z2 + 1.0) * z / 4.0
     g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0

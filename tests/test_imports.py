@@ -34,7 +34,7 @@ def cli_imports():
     return set(json.loads(proc.stdout))
 
 
-@pytest.mark.parametrize("module", ["uuid"])
+@pytest.mark.parametrize("module", ["uuid", "difflib", "statistics", "decimal", "fractions"])
 def test_cli_import_does_not_load(cli_imports, module):
     assert "a4l_analytics.cli" in cli_imports
     assert module not in cli_imports

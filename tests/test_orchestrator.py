@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import weakref
+import zlib
 from pathlib import Path
 
 import pytest
@@ -438,7 +439,10 @@ class TestRegistryRecord:
     def test_first_cycle_records_every_payload_file(self, domain_root):
         run_cycle(domain_root)
         record = _read_record(domain_root)
-        assert record["tag"] == ["a4l-reconcile", 2]
+        # the crc32 in the tag covers every byte after the tag's comma
+        data = (domain_root / "warehouse" / "reconcile.json").read_bytes()
+        assert data.startswith(b'{"tag":["a4l-reconcile",3,')
+        assert record["tag"] == ["a4l-reconcile", 3, zlib.crc32(data.split(b"],", 1)[1])]
         assert sorted(record["payloads"]) == self.PAYLOADS
         for name, entry in record["payloads"].items():
             data = (domain_root / "payloads" / name).read_bytes()
@@ -560,20 +564,7 @@ class TestRegistryRecord:
                     record[key].update(value)
             text = json.dumps(record)
         (settled_root / "warehouse" / "reconcile.json").write_text(text, encoding="utf-8")
-        input_reads.clear()
-        report = run_cycle(settled_root)
-        assert report.updated == []
-        assert report.selected_payloads == [] and report.run_outcomes == []
-        assert len(payload_parses) == len(self.PAYLOADS)
-        assert sorted(input_reads) == sorted(
-            [("hash", f"store/{name}.csv") for name in self.DATASETS]
-            + [("read", f"payloads/{name}") for name in self.PAYLOADS]
-        )
-        assert _read_record(settled_root) == expected
-        input_reads.clear()
-        run_cycle(settled_root)
-        assert len(payload_parses) == len(self.PAYLOADS)
-        assert input_reads == []
+        self._assert_ignored_and_rewritten(settled_root, expected, payload_parses, input_reads)
 
     def test_format_1_record_is_ignored(self, settled_root, payload_parses, input_reads):
         # the record as the format before stat witnesses wrote it
@@ -593,6 +584,44 @@ class TestRegistryRecord:
         assert sorted(hashed) == [f"store/{name}.csv" for name in self.DATASETS]
         assert len(payload_parses) == len(self.PAYLOADS)
         assert _read_record(settled_root) == expected
+
+    def _assert_ignored_and_rewritten(self, root, expected, payload_parses, input_reads):
+        """The cycle hashes every input and writes ``expected`` back; the
+        next cycle reads nothing."""
+        input_reads.clear()
+        report = run_cycle(root)
+        assert report.updated == []
+        assert report.selected_payloads == [] and report.run_outcomes == []
+        assert len(payload_parses) == len(self.PAYLOADS)
+        assert sorted(input_reads) == sorted(
+            [("hash", f"store/{name}.csv") for name in self.DATASETS]
+            + [("read", f"payloads/{name}") for name in self.PAYLOADS]
+        )
+        assert _read_record(root) == expected
+        input_reads.clear()
+        run_cycle(root)
+        assert len(payload_parses) == len(self.PAYLOADS)
+        assert input_reads == []
+
+    def test_format_2_record_is_ignored(self, settled_root, payload_parses, input_reads):
+        # the record as the format before the crc32 wrote it: the same
+        # sections, with the tag sorted last and every entry checked on load
+        expected = _read_record(settled_root)
+        old = {"tag": ["a4l-reconcile", 2], "payloads": expected["payloads"], "store": expected["store"]}
+        path = settled_root / "warehouse" / "reconcile.json"
+        path.write_text(json.dumps(old, separators=(",", ":"), sort_keys=True) + "\n", encoding="utf-8")
+        self._assert_ignored_and_rewritten(settled_root, expected, payload_parses, input_reads)
+
+    def test_flipped_hash_digit_is_ignored(self, settled_root, payload_parses, input_reads):
+        # still valid JSON, and still a sha256 of 64 hex digits
+        expected = _read_record(settled_root)
+        path = settled_root / "warehouse" / "reconcile.json"
+        data = path.read_bytes()
+        digest = expected["store"]["sami_fall24_usage"]["sha256"].encode()
+        flipped = digest[:-1] + (b"0" if digest[-1:] != b"0" else b"1")
+        assert data.count(digest) == 1
+        path.write_bytes(data.replace(digest, flipped))
+        self._assert_ignored_and_rewritten(settled_root, expected, payload_parses, input_reads)
 
     def test_unwritable_record_leaves_the_cycle_working(
         self, domain_root, monkeypatch, payload_parses
@@ -617,10 +646,10 @@ class TestRegistryRecord:
         # selected file's own parse decides
         bad = b'{"payload_version": 1, "domain": "sami"}'
         (synced_root / "payloads" / "sami_fall24.json").write_bytes(bad)
-        path = synced_root / "warehouse" / "reconcile.json"
-        record = _read_record(synced_root)
-        record["payloads"]["sami_fall24.json"]["sha256"] = hashlib.sha256(bad).hexdigest()
-        path.write_text(json.dumps(record), encoding="utf-8")
+        record = orchestrator.RegistryRecord(synced_root / "warehouse" / "reconcile.json")
+        stale = dict(record.payloads["sami_fall24.json"], sha256=hashlib.sha256(bad).hexdigest())
+        record.payloads = {**record.payloads, "sami_fall24.json": stale}
+        record.save()
         _touch_store(synced_root)
         report = run_cycle(synced_root)
         assert report.selected_payloads == []
@@ -1067,6 +1096,12 @@ class TestDirectories:
         fs_ops.clear()
         assert [u.dataset for u in run_cycle(settled_root).updated] == ["vera_summer23_usage"]
         assert _made(fs_ops, settled_root) == [("archive/vera_summer23_usage", "ok")]
+        # a second update links into the existing directory
+        _touch_store(settled_root)
+        fs_ops.clear()
+        assert [u.dataset for u in run_cycle(settled_root).updated] == ["sami_fall24_usage"]
+        assert _made(fs_ops, settled_root) == []
+        assert len(list((settled_root / "archive" / "sami_fall24_usage").iterdir())) == 2
 
 
 class TestRunCycle:
